@@ -158,10 +158,7 @@ BENCHMARK(BM_grouped_step)->Arg(2)->Arg(8);
 //     cautious-adopter tail.
 // Items processed = agent-steps, so report ns/agent via items_per_second.
 
-const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
-  static std::map<std::pair<std::string, std::size_t>, graph::graph> cache;
-  const auto key = std::make_pair(kind, n);
-  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+scenario::topology_spec bench_topology_spec(const std::string& kind) {
   scenario::topology_spec spec;
   using family = scenario::topology_spec::family_kind;
   if (kind == "ring") {
@@ -181,7 +178,15 @@ const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
   } else {
     throw std::invalid_argument{"unknown bench topology"};
   }
-  return cache.emplace(key, scenario::build_topology(spec, n)).first->second;
+  return spec;
+}
+
+const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
+  static std::map<std::pair<std::string, std::size_t>, graph::graph> cache;
+  const auto key = std::make_pair(kind, n);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  return cache.emplace(key, scenario::build_topology(bench_topology_spec(kind), n))
+      .first->second;
 }
 
 void network_step_benchmark(benchmark::State& state, const std::string& kind,
@@ -264,6 +269,31 @@ void BM_network_step_ba_scalar(benchmark::State& state) {
   network_step_benchmark(state, "ba", 0.62, {1, 0}, core::kernel_kind::scalar);
 }
 BENCHMARK(BM_network_step_ba_scalar)->Arg(1000000)->Unit(benchmark::kMicrosecond);
+
+// --- graph build -------------------------------------------------------------
+//
+// The set-up cost of every cold network run: generator plus CSR
+// construction, as build_topology does it.  The construction runs over the
+// worker pool, so these report wall time.  Items processed = vertices.
+
+void graph_build_benchmark(benchmark::State& state, const std::string& kind) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const scenario::topology_spec spec = bench_topology_spec(kind);
+  for (auto _ : state) benchmark::DoNotOptimize(scenario::build_topology(spec, n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_graph_build_ba(benchmark::State& state) { graph_build_benchmark(state, "ba"); }
+BENCHMARK(BM_graph_build_ba)->Arg(1000000)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_graph_build_smallworld(benchmark::State& state) {
+  graph_build_benchmark(state, "smallworld");
+}
+BENCHMARK(BM_graph_build_smallworld)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- raw v3 kernels, no engine around them ----------------------------------
 //

@@ -1,44 +1,98 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
+#include "support/parallel.h"
+
 namespace sgl::graph {
+
+namespace {
+
+/// Vertices per task of the per-vertex sort pass.  Fixed, so the split of
+/// the work is a function of the vertex count alone.
+constexpr std::size_t k_sort_block = 4096;
+
+/// Edges per scatter part below which another part is not worth its pass
+/// over the edge list.
+constexpr std::size_t k_min_edges_per_part = std::size_t{1} << 16;
+
+}  // namespace
 
 graph::graph(std::size_t num_vertices, std::span<const edge> edges) {
   if (num_vertices == 0) throw std::invalid_argument{"graph: zero vertices"};
 
-  // Normalize, validate, and deduplicate the edge list.
-  std::vector<edge> normalized;
-  normalized.reserve(edges.size());
+  // Counting sort into CSR.  Validation runs in list order, so the first
+  // bad edge decides the exception; the degrees still count duplicates.
+  offsets_.assign(num_vertices + 1, 0);
   for (const auto& [u, v] : edges) {
     if (u >= num_vertices || v >= num_vertices) {
       throw std::invalid_argument{"graph: edge endpoint out of range"};
     }
     if (u == v) throw std::invalid_argument{"graph: self-loop"};
-    normalized.emplace_back(std::min(u, v), std::max(u, v));
+    ++offsets_[u + 1];
+    ++offsets_[v + 1];
   }
-  std::sort(normalized.begin(), normalized.end());
-  normalized.erase(std::unique(normalized.begin(), normalized.end()), normalized.end());
-
-  std::vector<std::size_t> degree(num_vertices, 0);
-  for (const auto& [u, v] : normalized) {
-    ++degree[u];
-    ++degree[v];
-  }
-  offsets_.assign(num_vertices + 1, 0);
-  for (std::size_t v = 0; v < num_vertices; ++v) offsets_[v + 1] = offsets_[v] + degree[v];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
   adjacency_.resize(offsets_.back());
 
+  // Scatter both orientations.  Each part owns the destination vertices of
+  // one range, holding about the same number of entries, and walks the
+  // whole list in order: every list is filled in list order for any number
+  // of parts, and the parts spread the random writes over the pool.
+  const std::size_t parts = std::clamp<std::size_t>(edges.size() / k_min_edges_per_part, 1,
+                                                     default_thread_count());
+  std::vector<std::size_t> part_begin(parts + 1, num_vertices);
+  for (std::size_t p = 0; p < parts; ++p) {
+    const std::size_t entries = offsets_.back() / parts * p;
+    part_begin[p] = static_cast<std::size_t>(
+        std::lower_bound(offsets_.begin(), offsets_.end(), entries) - offsets_.begin());
+  }
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [u, v] : normalized) {
-    adjacency_[cursor[u]++] = v;
-    adjacency_[cursor[v]++] = u;
-  }
+  parallel_tasks(parts, [&](std::size_t p) {
+    const std::size_t lo = part_begin[p];
+    const std::size_t width = part_begin[p + 1] - lo;
+    for (const auto& [u, v] : edges) {
+      if (u - lo < width) adjacency_[cursor[u]++] = v;
+      if (v - lo < width) adjacency_[cursor[v]++] = u;
+    }
+  });
+
+  // Sort and deduplicate every list in place; cursor[v] becomes the end of
+  // v's kept prefix.  Each block of vertices is a task claimed on demand, so
+  // the long hub lists of low ids do not pile onto one thread.  Each list is
+  // independent, so the thread count cannot change the result.
+  const std::size_t blocks = (num_vertices + k_sort_block - 1) / k_sort_block;
+  std::vector<char> dropped(blocks, 0);
+  parallel_tasks(blocks, [&](std::size_t b) {
+    const std::size_t hi = std::min(num_vertices, (b + 1) * k_sort_block);
+    for (std::size_t v = b * k_sort_block; v < hi; ++v) {
+      const auto first = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]);
+      const auto last = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
+      std::sort(first, last);
+      const auto kept = std::unique(first, last);
+      cursor[v] = static_cast<std::size_t>(kept - adjacency_.begin());
+      if (kept != last) dropped[b] = 1;
+    }
+  });
+
+  // Close the gaps the duplicates left, moving every list left.
+  if (std::find(dropped.begin(), dropped.end(), 1) == dropped.end()) return;
+  std::size_t write = 0;
   for (std::size_t v = 0; v < num_vertices; ++v) {
-    std::sort(adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]),
-              adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]));
+    const std::size_t begin = offsets_[v];
+    offsets_[v] = write;
+    if (write != begin) {
+      std::copy(adjacency_.begin() + static_cast<std::ptrdiff_t>(begin),
+                adjacency_.begin() + static_cast<std::ptrdiff_t>(cursor[v]),
+                adjacency_.begin() + static_cast<std::ptrdiff_t>(write));
+    }
+    write += cursor[v] - begin;
   }
+  offsets_[num_vertices] = write;
+  adjacency_.resize(write);
+  adjacency_.shrink_to_fit();
 }
 
 std::size_t graph::degree(vertex v) const {
@@ -214,32 +268,30 @@ graph graph::barabasi_albert(std::size_t n, std::size_t attach, rng& gen) {
   if (attach == 0) throw std::invalid_argument{"barabasi_albert: attach must be positive"};
   if (n <= attach) throw std::invalid_argument{"barabasi_albert: need n > attach"};
 
-  std::vector<edge> edges;
-  // Endpoint multiset: each vertex appears once per incident edge, so a
-  // uniform draw from it is degree-proportional preferential attachment.
-  std::vector<vertex> endpoints;
-
   // Seed: a clique on the first attach+1 vertices.
+  std::vector<edge> edges;
+  edges.reserve(attach * (attach + 1) / 2 + (n - attach - 1) * attach);
   for (std::uint32_t u = 0; u <= attach; ++u) {
-    for (std::uint32_t v = u + 1; v <= attach; ++v) {
-      edges.emplace_back(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
+    for (std::uint32_t v = u + 1; v <= attach; ++v) edges.emplace_back(u, v);
   }
+
+  // Preferential attachment draws uniformly from the endpoint multiset, in
+  // which each vertex appears once per incident edge.  That multiset is the
+  // flattened edge list itself: entry r is edges[r/2].first or .second.
+  const auto endpoint = [&](std::uint64_t r) {
+    const edge& e = edges[r >> 1];
+    return (r & 1) != 0 ? e.second : e.first;
+  };
+  std::vector<vertex> targets;
+  targets.reserve(attach);
   for (std::uint32_t v = static_cast<vertex>(attach + 1); v < n; ++v) {
-    std::vector<vertex> targets;
+    const std::uint64_t bound = 2 * edges.size();
+    targets.clear();
     while (targets.size() < attach) {
-      const vertex t = endpoints[gen.next_below(endpoints.size())];
-      if (std::find(targets.begin(), targets.end(), t) == targets.end()) {
-        targets.push_back(t);
-      }
+      const vertex t = endpoint(gen.next_below(bound));
+      if (std::find(targets.begin(), targets.end(), t) == targets.end()) targets.push_back(t);
     }
-    for (const vertex t : targets) {
-      edges.emplace_back(v, t);
-      endpoints.push_back(v);
-      endpoints.push_back(t);
-    }
+    for (const vertex t : targets) edges.emplace_back(v, t);
   }
   return graph{n, edges};
 }

@@ -23,7 +23,10 @@ class graph {
   using edge = std::pair<vertex, vertex>;
 
   /// Builds from an edge list; self-loops are rejected, duplicate edges
-  /// (in either orientation) are collapsed.
+  /// (in either orientation) are collapsed.  The first bad edge in list
+  /// order decides the exception.  No global sort: a counting sort into
+  /// CSR, then each neighbour list is sorted on its own.  Runs over the
+  /// worker pool; the result does not depend on the thread count.
   graph(std::size_t num_vertices, std::span<const edge> edges);
 
   [[nodiscard]] std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }

@@ -180,10 +180,10 @@ void session::handle_submit(const json_value& request) {
     json.key("cached").value(static_cast<std::uint64_t>(event.cached));
     json.end_object();
     emit(out.str());
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      if (outstanding_ > 0) --outstanding_;
-    }
+    // Notify under the lock: once finish() can see zero outstanding jobs
+    // the session may be destroyed, idle_ with it.
+    const std::lock_guard<std::mutex> lock{mutex_};
+    if (outstanding_ > 0) --outstanding_;
     idle_.notify_all();
   };
 

@@ -14,9 +14,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -719,6 +721,32 @@ TEST(session, submit_streams_accept_points_done_in_order) {
     EXPECT_NE(out.lines[i].find(*stored), std::string::npos)
         << "point_done must embed the stored payload verbatim";
   }
+}
+
+TEST(session, destroyed_as_its_last_job_done_fires) {
+  // The wire hands the test each job_done line as it is written; the test
+  // then destroys the session at once, so ~session's finish() races the
+  // tail of the dispatcher's on_done (decrement, notify).  A notify made
+  // after the lock is released can reach a destroyed condition variable;
+  // ThreadSanitizer reports that, and a plain build may crash on it.
+  result_store store{fresh_store_root("session_teardown")};
+  job_queue queue{store, 1};
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<bool> done_written{false};
+    session_options options;
+    options.write_line = [&done_written](std::string_view line) {
+      if (line.find(R"("event":"job_done")") != std::string_view::npos) {
+        done_written.store(true, std::memory_order_release);
+      }
+      return true;
+    };
+    auto s = std::make_unique<session>(queue, std::move(options));
+    s->handle_line(submit_line());  // computed once, then cache hits
+    while (!done_written.load(std::memory_order_acquire)) std::this_thread::yield();
+    s.reset();
+  }
+  queue.drain();
+  EXPECT_EQ(store.object_count(), 2U);
 }
 
 TEST(session, malformed_and_unknown_requests_produce_error_events) {
