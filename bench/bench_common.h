@@ -10,8 +10,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "core/experiment.h"
+#include "core/probe.h"
+#include "scenario/scenario.h"
 #include "support/flags.h"
 #include "support/table.h"
 
@@ -81,5 +86,23 @@ inline void emit(const text_table& table, const standard_options& options) {
 
 /// "yes"/"NO" verdict cell.
 inline std::string verdict(bool ok) { return ok ? "yes" : "NO"; }
+
+/// The §2.2 scalar estimates of the `regret` probe among a run's merged
+/// probes.
+inline core::regret_estimate regret_of(const core::probe_list& merged) {
+  for (const auto& probe : merged) {
+    if (const auto* regret = dynamic_cast<const core::regret_probe*>(probe.get())) {
+      return core::to_regret_estimate(*regret);
+    }
+  }
+  throw std::logic_error{"regret_of: the run has no regret probe"};
+}
+
+/// Runs `spec` through the scenario harness with the regret probe alone.
+inline core::regret_estimate regret_of(const scenario::scenario_spec& spec,
+                                       const core::run_config& config) {
+  static const std::vector<std::string> probes{"regret"};
+  return regret_of(scenario::run_probes(spec, config, probes));
+}
 
 }  // namespace sgl::bench

@@ -44,7 +44,7 @@ int run(const bench::standard_options& options) {
         config.replications = options.replications;
         config.seed = options.seed;
         config.threads = options.threads;
-        const core::regret_estimate est = scenario::run(spec, config).scalars;
+        const core::regret_estimate est = bench::regret_of(spec, config);
         table.add_row({std::to_string(m), fmt(beta, 2), fmt(delta, 3),
                        std::to_string(t_star), std::to_string(config.horizon),
                        fmt_pm(est.regret.mean, est.regret.half_width),

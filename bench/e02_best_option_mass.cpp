@@ -7,12 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/experiment.h"
 #include "core/theory.h"
-#include "env/reward_model.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -30,7 +30,12 @@ int run(const bench::standard_options& options) {
 
   for (const double beta : {0.52, 0.55, 0.6, 0.65, 0.73}) {
     for (const double gap : {0.1, 0.2, 0.4, 0.8}) {
-      const core::dynamics_params params = core::theorem_params(m, beta);
+      scenario::scenario_spec spec;
+      spec.engine = scenario::engine_kind::infinite;
+      spec.num_agents = 0;
+      spec.params = core::theorem_params(m, beta);
+      spec.environment.etas = {eta1, eta1 - gap, eta1 - gap};
+      const core::dynamics_params& params = spec.params;
       const double bound = core::theory::best_mass_lower_bound(beta, gap);
       core::run_config config;
       config.horizon = static_cast<std::uint64_t>(
@@ -38,13 +43,7 @@ int run(const bench::standard_options& options) {
       config.replications = options.replications;
       config.seed = options.seed;
       config.threads = options.threads;
-      const core::regret_estimate est = core::estimate_infinite_regret(
-          params,
-          [&] {
-            return std::make_unique<env::bernoulli_rewards>(
-                std::vector<double>{eta1, eta1 - gap, eta1 - gap});
-          },
-          config);
+      const core::regret_estimate est = bench::regret_of(spec, config);
       table.add_row(
           {fmt(beta, 2), fmt(params.delta(), 3), fmt(gap, 2),
            std::to_string(config.horizon),

@@ -46,12 +46,12 @@ int run(const bench::standard_options& options) {
     config.seed = options.seed;
     config.threads = options.threads;
 
-    const core::regret_estimate infinite = scenario::run(infinite_spec, config).scalars;
+    const core::regret_estimate infinite = bench::regret_of(infinite_spec, config);
 
     for (const std::uint64_t n :
          {100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL}) {
       finite_spec.num_agents = n;
-      const core::regret_estimate finite = scenario::run(finite_spec, config).scalars;
+      const core::regret_estimate finite = bench::regret_of(finite_spec, config);
       table.add_row(
           {std::to_string(n), std::to_string(config.horizon),
            fmt_pm(finite.regret.mean, finite.regret.half_width),

@@ -9,13 +9,15 @@
 // frequency.
 
 #include <cmath>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
+#include "scenario/scenario.h"
+#include "support/json.h"
 
 namespace {
 
@@ -33,23 +35,25 @@ int run(const bench::standard_options& options) {
   for (const std::size_t m : {std::size_t{2}, std::size_t{10}}) {
     for (const std::uint64_t n : {1000ULL, 10000ULL, 100000ULL}) {
       constexpr double beta = 0.62;
-      const core::dynamics_params params = core::theorem_params(m, beta);
+      scenario::scenario_spec spec;
+      spec.engine = scenario::engine_kind::aggregate;
+      spec.num_agents = n;
+      spec.params = core::theorem_params(m, beta);
+      spec.environment.etas = env::two_level_etas(m, 0.85, 0.35);
+      const core::dynamics_params& params = spec.params;
       const double zeta = core::theory::popularity_floor(m, params.mu, beta);
       const double epoch = core::theory::epoch_length(m, params.mu, beta);
       const auto horizon = static_cast<std::uint64_t>(std::ceil(20.0 * epoch));
-      const auto etas = env::two_level_etas(m, 0.85, 0.35);
 
       core::run_config config;
       config.horizon = horizon;
       config.replications = options.replications;
       config.seed = options.seed;
       config.threads = options.threads;
-      const core::popularity_floor_probe prototype{zeta};
-      const core::probe* probes[] = {&prototype};
-      const auto merged = core::run_with_probes(
-          core::make_finite_engine_factory(params, n),
-          [&etas] { return std::make_unique<env::bernoulli_rewards>(etas); }, config,
-          probes);
+      // json_number round-trips exactly, so the probe sees zeta bit for bit.
+      const std::vector<std::string> probes{"popularity_floor(floor=" + json_number(zeta) +
+                                            ")"};
+      const core::probe_list merged = scenario::run_probes(spec, config, probes);
       const auto& floor =
           dynamic_cast<const core::popularity_floor_probe&>(*merged[0]);
 

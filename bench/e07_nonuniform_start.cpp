@@ -49,7 +49,7 @@ int run(const bench::standard_options& options) {
         config.replications = options.replications;
         config.seed = options.seed;
         config.threads = options.threads;
-        const core::regret_estimate est = scenario::run(spec, config).scalars;
+        const core::regret_estimate est = bench::regret_of(spec, config);
         table.add_row(
             {fmt(beta, 2), fmt(zeta, 3), std::to_string(t_zeta),
              std::to_string(config.horizon),

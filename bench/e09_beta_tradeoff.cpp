@@ -11,13 +11,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "algo/full_info.h"
 #include "core/experiment.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
+#include "scenario/scenario.h"
 #include "support/parallel.h"
 #include "support/stats.h"
 
@@ -62,15 +63,18 @@ int run(const bench::standard_options& options) {
 
   for (const std::uint64_t horizon : {100ULL, 1000ULL}) {
     for (const double beta : {0.52, 0.55, 0.58, 0.62, 0.66, 0.70, 0.73}) {
-      const core::dynamics_params params = core::theorem_params(m, beta);
+      scenario::scenario_spec spec;
+      spec.engine = scenario::engine_kind::infinite;
+      spec.num_agents = 0;
+      spec.params = core::theorem_params(m, beta);
+      spec.environment.etas = etas;
+      const core::dynamics_params& params = spec.params;
       core::run_config config;
       config.horizon = horizon;
       config.replications = options.replications;
       config.seed = options.seed;
       config.threads = options.threads;
-      const core::regret_estimate est = core::estimate_infinite_regret(
-          params, [&] { return std::make_unique<env::bernoulli_rewards>(etas); },
-          config);
+      const core::regret_estimate est = bench::regret_of(spec, config);
       table.add_row({std::to_string(horizon), fmt(beta, 2), fmt(params.delta(), 3),
                      fmt(core::theory::min_horizon(m, beta), 1),
                      fmt_pm(est.regret.mean, est.regret.half_width),

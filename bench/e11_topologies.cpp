@@ -81,7 +81,7 @@ int run(const bench::standard_options& options) {
   config.replications = options.replications;
   config.seed = options.seed;
   config.threads = options.threads;
-  config.collect_curves = true;
+  const std::vector<std::string> probes{"regret", "trajectory"};
 
   text_table table{{"topology", "avg degree", "regret", "final best mass",
                     "t to mean 90%"}};
@@ -94,18 +94,20 @@ int run(const bench::standard_options& options) {
           scenario::build_topology(c.spec.topology, n));
       degree = fmt(c.spec.prebuilt_graph->average_degree(), 1);
     }
-    const core::run_result result = scenario::run(c.spec, config);
+    const core::probe_list merged = scenario::run_probes(c.spec, config, probes);
     c.spec.prebuilt_graph.reset();
+    const core::regret_estimate scalars = bench::regret_of(merged);
+    const auto& curves = dynamic_cast<const core::trajectory_probe&>(*merged[1]);
     std::uint64_t hit = k_horizon + 1;
-    for (std::size_t t = 0; t < result.curves->best_mass.length(); ++t) {
-      if (result.curves->best_mass.mean(t) >= 0.9) {
+    for (std::size_t t = 0; t < curves.best_mass().length(); ++t) {
+      if (curves.best_mass().mean(t) >= 0.9) {
         hit = t + 1;
         break;
       }
     }
     table.add_row({c.label, degree,
-                   fmt_pm(result.scalars.regret.mean, result.scalars.regret.half_width),
-                   fmt(result.scalars.final_best_mass.mean, 3), std::to_string(hit)});
+                   fmt_pm(scalars.regret.mean, scalars.regret.half_width),
+                   fmt(scalars.final_best_mass.mean, 3), std::to_string(hit)});
   }
   bench::emit(table, options);
   std::printf("N = %zu, T = %llu, beta = 0.65, eta = (0.85, 0.35); 't to mean 90%%' of "

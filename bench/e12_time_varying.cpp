@@ -20,8 +20,7 @@
 #include "core/theory.h"
 #include "env/markov_rewards.h"
 #include "env/reward_model.h"
-#include "support/parallel.h"
-#include "support/stats.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -37,7 +36,25 @@ int run(const bench::standard_options& options) {
       "Dynamic regret vs switch period; faster switching = harder.");
 
   const std::vector<double> base{0.85, 0.35, 0.35};
-  const core::dynamics_params params = core::theorem_params(k_options, 0.65);
+
+  // The engines come from specs; the environments stay hand-built, because
+  // the Markov-regime workload below is not a spec family.
+  scenario::scenario_spec finite_spec;
+  finite_spec.engine = scenario::engine_kind::aggregate;
+  finite_spec.num_agents = k_agents;
+  finite_spec.params = core::theorem_params(k_options, 0.65);
+  scenario::scenario_spec infinite_spec = finite_spec;
+  infinite_spec.engine = scenario::engine_kind::infinite;
+  infinite_spec.num_agents = 0;
+  const core::engine_factory make_finite = scenario::make_engine(finite_spec);
+  const core::engine_factory make_infinite = scenario::make_engine(infinite_spec);
+  const core::regret_probe regret_prototype;
+  const auto estimate_regret = [&](const core::engine_factory& make_engine,
+                                   const core::env_factory& make_env,
+                                   const core::run_config& config) {
+    const core::probe* probes[] = {&regret_prototype};
+    return bench::regret_of(core::run_with_probes(make_engine, make_env, config, probes));
+  };
 
   text_table table{{"workload", "period L", "T", "dyn regret (finite)",
                     "dyn regret (infinite)", "recovery t (mean)", "recovered"}};
@@ -59,13 +76,10 @@ int run(const bench::standard_options& options) {
     const core::regret_probe scalars;
     const core::recovery_probe recovery{0.5};
     const core::probe* probes[] = {&scalars, &recovery};
-    const auto merged = core::run_with_probes(
-        core::make_finite_engine_factory(params, k_agents), factory, config, probes);
-    const core::regret_estimate finite =
-        core::to_regret_estimate(dynamic_cast<const core::regret_probe&>(*merged[0]));
+    const auto merged = core::run_with_probes(make_finite, factory, config, probes);
+    const core::regret_estimate finite = bench::regret_of(merged);
     const auto& recovered = dynamic_cast<const core::recovery_probe&>(*merged[1]);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const core::regret_estimate infinite = estimate_regret(make_infinite, factory, config);
 
     // The mean covers only switches that recovered before the horizon (or
     // the next switch); the recovered/switches column keeps a short-period
@@ -90,10 +104,8 @@ int run(const bench::standard_options& options) {
           std::vector<double>{0.85, 0.35, 0.35}, std::vector<double>{0.35, 0.35, 0.85},
           horizon);
     };
-    const core::regret_estimate finite =
-        core::estimate_finite_regret(params, k_agents, factory, config);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const core::regret_estimate finite = estimate_regret(make_finite, factory, config);
+    const core::regret_estimate infinite = estimate_regret(make_infinite, factory, config);
     table.add_row({"drifting (invert)", "-", std::to_string(horizon),
                    fmt_pm(finite.regret.mean, finite.regret.half_width),
                    fmt_pm(infinite.regret.mean, infinite.regret.half_width), "-", "-"});
@@ -114,10 +126,8 @@ int run(const bench::standard_options& options) {
           std::vector<std::vector<double>>{{stay, 1.0 - stay}, {1.0 - stay, stay}},
           horizon, options.seed + 77);
     };
-    const core::regret_estimate finite =
-        core::estimate_finite_regret(params, k_agents, factory, config);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const core::regret_estimate finite = estimate_regret(make_finite, factory, config);
+    const core::regret_estimate infinite = estimate_regret(make_infinite, factory, config);
     table.add_row({"markov (stay=" + fmt(stay, 3) + ")",
                    fmt(1.0 / (1.0 - stay), 0), std::to_string(horizon),
                    fmt_pm(finite.regret.mean, finite.regret.half_width),

@@ -21,29 +21,20 @@
 /// factories, validated once, reset() between replications when both sides
 /// are reusable()), advances it through the horizon, and every installed
 /// probe (core/probe.h) observes each step and is reduced deterministically
-/// across replications.  run_scenario() is the historical fixed reduction —
-/// now a thin wrapper that installs the built-in regret (and, on request,
-/// trajectory) probes and converts their accumulators back into
-/// regret_estimate / trajectory_estimate, bit-identically to the pre-probe
-/// implementation.  The estimate_*/collect_* entry points remain thin
-/// wrappers that build the factories.
+/// across replications.  The scenario layer (scenario/scenario.h) builds the
+/// factories from a spec; scenario::run_probes is the usual front door.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "core/aggregate_dynamics.h"
 #include "core/dynamics_engine.h"
-#include "core/finite_dynamics.h"
-#include "core/infinite_dynamics.h"
 #include "core/params.h"
 #include "core/probe.h"
 #include "env/reward_model.h"
-#include "graph/graph.h"
 #include "support/stats.h"
 
 namespace sgl::core {
@@ -63,7 +54,6 @@ struct run_config {
   std::uint64_t replications = 100;
   std::uint64_t seed = 1;
   unsigned threads = 0;             ///< 0 = hardware concurrency
-  bool collect_curves = false;      ///< also average the per-step curves
 
   /// Reuse one engine/environment instance per worker across replications
   /// (reset() between) instead of reconstructing, whenever both sides
@@ -75,12 +65,6 @@ struct run_config {
   bool reuse = true;
 };
 
-/// Which finite engine to use (identical law in the homogeneous mixed case).
-enum class finite_engine {
-  aggregate,    ///< O(m) per step; homogeneous + fully mixed only
-  agent_based,  ///< O(N) per step; supports rules/topology
-};
-
 /// End-of-horizon scalar estimates with 95% confidence intervals.
 struct regret_estimate {
   mean_ci regret;            ///< (1/T)Σ_t η_best(t) − average reward
@@ -89,23 +73,6 @@ struct regret_estimate {
   mean_ci final_best_mass;   ///< Q^T_{best(T)}
   double empty_step_fraction = 0.0;  ///< fraction of steps nobody adopted
   std::uint64_t replications = 0;
-};
-
-/// Per-step curves averaged over replications.  Index t−1 holds the value
-/// after step t.
-struct trajectory_estimate {
-  series_stats running_regret;  ///< regret of the prefix [1..t]
-  series_stats best_mass;       ///< Q^t_{best(t)} after step t
-  series_stats min_popularity;  ///< min_j Q^t_j after step t
-
-  explicit trajectory_estimate(std::size_t horizon)
-      : running_regret{horizon}, best_mass{horizon}, min_popularity{horizon} {}
-};
-
-/// Everything run_scenario() produces.
-struct run_result {
-  regret_estimate scalars;
-  std::optional<trajectory_estimate> curves;  ///< engaged iff collect_curves
 };
 
 /// The runner's config validation, shared with external schedulers
@@ -201,55 +168,7 @@ class context_pool {
                                          const run_config& config,
                                          std::span<const probe* const> prototypes);
 
-/// The historical fixed reduction: scalar estimates (always) and per-step
-/// curves (when `config.collect_curves`), via the built-in regret /
-/// trajectory probes.
-[[nodiscard]] run_result run_scenario(const engine_factory& make_engine,
-                                      const env_factory& make_env,
-                                      const run_config& config);
-
 /// Converts a merged regret probe into the historical estimate struct.
 [[nodiscard]] regret_estimate to_regret_estimate(const regret_probe& probe);
-
-/// Converts a merged trajectory probe into the historical curves struct.
-[[nodiscard]] trajectory_estimate to_trajectory_estimate(const trajectory_probe& probe);
-
-/// Regret of the infinite-population dynamics (stochastic MWU).  `start`
-/// optionally overrides the uniform initial distribution (Theorem 4.6).
-[[nodiscard]] regret_estimate estimate_infinite_regret(const dynamics_params& params,
-                                                       const env_factory& make_env,
-                                                       const run_config& config,
-                                                       std::span<const double> start = {});
-
-/// Regret of the finite-population dynamics.  `topology` (borrowed, may be
-/// nullptr) forces the agent-based engine.
-[[nodiscard]] regret_estimate estimate_finite_regret(
-    const dynamics_params& params, std::uint64_t num_agents, const env_factory& make_env,
-    const run_config& config, finite_engine engine = finite_engine::aggregate,
-    const graph::graph* topology = nullptr);
-
-/// Full curves for the infinite dynamics.
-[[nodiscard]] trajectory_estimate collect_infinite_trajectory(
-    const dynamics_params& params, const env_factory& make_env, const run_config& config,
-    std::span<const double> start = {});
-
-/// Full curves for the finite dynamics.
-[[nodiscard]] trajectory_estimate collect_finite_trajectory(
-    const dynamics_params& params, std::uint64_t num_agents, const env_factory& make_env,
-    const run_config& config, finite_engine engine = finite_engine::aggregate,
-    const graph::graph* topology = nullptr);
-
-/// Engine factory for the infinite dynamics (optionally from a nonuniform
-/// start, copied).  Shared by the wrappers above and the scenario layer.
-[[nodiscard]] engine_factory make_infinite_engine_factory(const dynamics_params& params,
-                                                          std::span<const double> start = {});
-
-/// Engine factory for the finite dynamics.  `topology` (borrowed; must
-/// outlive the factory and every engine it builds) forces the agent-based
-/// engine, as does `engine == finite_engine::agent_based`.
-[[nodiscard]] engine_factory make_finite_engine_factory(
-    const dynamics_params& params, std::uint64_t num_agents,
-    finite_engine engine = finite_engine::aggregate,
-    const graph::graph* topology = nullptr);
 
 }  // namespace sgl::core

@@ -3,10 +3,8 @@
 /// \file probe.h
 /// Composable measurement probes for the Monte-Carlo runner.
 ///
-/// The paper's §2.2 measures (regret, best-option mass) used to be the
-/// *only* reduction the harness could produce: run_scenario hard-coded one
-/// result shape.  A probe decouples "what the run computes" from "how the
-/// run is driven": the runner advances each replication through the horizon
+/// A probe decouples "what the run computes" from "how the run is
+/// driven": the runner advances each replication through the horizon
 /// and shows every step to every installed probe; the probe accumulates
 /// whatever it wants, finalizes once per replication, and merges across
 /// replications deterministically.
@@ -25,9 +23,9 @@
 /// Built-in probes:
 ///   regret            — the §2.2 scalar estimates (regret, average reward,
 ///                       best mass, final best mass, empty-step fraction);
-///                       reproduces the historical regret_estimate exactly.
+///                       to_regret_estimate (core/experiment.h) tabulates it.
 ///   trajectory        — per-step running-regret / best-mass / min-popularity
-///                       curves; reproduces trajectory_estimate exactly.
+///                       curves.
 ///   hitting_time(eps) — consensus: first t with Q^t_{best(t)} >= 1 - eps.
 ///   popularity_floor(floor)
 ///                     — min_{t,j} Q^t_j per replication and, when a floor is
@@ -151,8 +149,9 @@ struct best_option_cache {
   void refresh(const probe_step_view& step);
 };
 
-/// The historical §2.2 scalar reduction, bit-identical to the pre-probe
-/// run_scenario (the accumulation order is pinned by tests/probe_test.cpp).
+/// The §2.2 scalar reduction, bit-identical to the harness's original
+/// fixed reduction (the accumulation order is pinned by golden values in
+/// tests/probe_test.cpp).
 class regret_probe final : public probe {
  public:
   [[nodiscard]] std::string name() const override { return "regret"; }
@@ -189,8 +188,8 @@ class regret_probe final : public probe {
   double best_mass_sum_ = 0.0;
 };
 
-/// The historical per-step curves (running regret, best mass, min
-/// popularity), bit-identical to the pre-probe collect_* entry points.
+/// The per-step curves (running regret, best mass, min popularity),
+/// bit-identical to the harness's original fixed reduction.
 class trajectory_probe final : public probe {
  public:
   [[nodiscard]] std::string name() const override { return "trajectory"; }

@@ -1,36 +1,8 @@
 #include "protocol/gossip_learner.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
 #include <stdexcept>
 
 namespace sgl::protocol {
-
-// --- signal_oracle ------------------------------------------------------------
-
-signal_oracle::signal_oracle(std::vector<double> etas, std::uint64_t seed)
-    : etas_{std::move(etas)}, seed_{seed} {
-  if (etas_.empty()) throw std::invalid_argument{"signal_oracle: no options"};
-  for (const double eta : etas_) {
-    if (!(eta >= 0.0 && eta <= 1.0)) {
-      throw std::invalid_argument{"signal_oracle: eta outside [0,1]"};
-    }
-  }
-}
-
-std::uint8_t signal_oracle::signal(std::uint64_t round, std::size_t option) const {
-  if (option >= etas_.size()) throw std::out_of_range{"signal_oracle: bad option"};
-  // One fresh deterministic stream per (round, option); its first uniform
-  // draw thresholds against η.  Pure function — no shared mutable state.
-  rng gen = rng::from_stream(seed_, round * etas_.size() + option + 1);
-  return gen.next_double() < etas_[option] ? 1 : 0;
-}
-
-std::size_t signal_oracle::best_option() const noexcept {
-  return static_cast<std::size_t>(
-      std::max_element(etas_.begin(), etas_.end()) - etas_.begin());
-}
 
 // --- gossip_params --------------------------------------------------------------
 
@@ -43,7 +15,7 @@ void gossip_params::validate() const {
 
 // --- gossip_learner --------------------------------------------------------------
 
-gossip_learner::gossip_learner(const gossip_params& params, const signal_source* signals)
+gossip_learner::gossip_learner(const gossip_params& params, const posted_signals* signals)
     : params_{params}, signals_{signals} {
   params_.validate();
   if (signals_ == nullptr) throw std::invalid_argument{"gossip_learner: null signal source"};
@@ -57,14 +29,8 @@ std::uint64_t gossip_learner::current_round(const netsim::context& ctx) const no
 }
 
 void gossip_learner::on_start(netsim::context& ctx) {
-  if (params_.start_committed) {
-    // Uniform initial commitment — the protocol analogue of Q⁰ = 1/m.
-    choice_ =
-        static_cast<std::int32_t>(ctx.gen().next_below(params_.dynamics.num_options));
-  } else {
-    choice_ = -1;
-  }
-  latched_choice_ = choice_;
+  choice_ = -1;
+  latched_choice_ = -1;
   // Random phase so wakeups are spread across the round, then periodic.
   const double phase = (0.05 + 0.9 * ctx.gen().next_double()) * params_.round_interval;
   ctx.set_timer(phase, k_round_timer);
@@ -125,7 +91,7 @@ void gossip_learner::on_message(netsim::context& ctx, const netsim::message& msg
 }
 
 void gossip_learner::consider(netsim::context& ctx, std::size_t option) {
-  const std::uint8_t signal = signals_->signal(current_round(ctx), option);
+  const std::uint8_t signal = signals_->signal(option);
   const double adopt_p =
       signal != 0 ? params_.dynamics.beta : params_.dynamics.resolved_alpha();
   if (ctx.gen().next_bernoulli(adopt_p)) {
@@ -141,96 +107,6 @@ void gossip_learner::consider(netsim::context& ctx, std::size_t option) {
   } else if (!params_.sticky) {
     choice_ = -1;
   }
-}
-
-// --- run_gossip_experiment --------------------------------------------------------
-
-gossip_run_result run_gossip_experiment(const gossip_params& params,
-                                        const signal_oracle& oracle,
-                                        const gossip_run_config& config) {
-  params.validate();
-  if (config.num_nodes == 0) throw std::invalid_argument{"gossip run: no nodes"};
-  if (config.rounds == 0) throw std::invalid_argument{"gossip run: no rounds"};
-  if (!(config.crash_fraction >= 0.0 && config.crash_fraction <= 1.0)) {
-    throw std::invalid_argument{"gossip run: crash fraction outside [0,1]"};
-  }
-
-  netsim::simulation sim{config.seed};
-  std::vector<gossip_learner*> learners;
-  learners.reserve(config.num_nodes);
-  for (std::size_t i = 0; i < config.num_nodes; ++i) {
-    auto learner = std::make_unique<gossip_learner>(params, &oracle);
-    learners.push_back(learner.get());
-    sim.add_node(std::move(learner));
-  }
-  if (config.topology != nullptr) sim.set_topology(config.topology);
-  sim.set_link_model(config.links);
-  sim.start();
-
-  const std::size_t m = oracle.num_options();
-  const std::size_t best = oracle.best_option();
-  const double eta_best = oracle.etas()[best];
-
-  gossip_run_result result;
-  result.best_fraction.reserve(config.rounds);
-  result.committed_fraction.reserve(config.rounds);
-
-  std::vector<double> popularity(m, 1.0 / static_cast<double>(m));
-  double reward_sum = 0.0;
-
-  rng crash_gen = rng::from_stream(config.seed, 0xc0ffeeULL);
-
-  for (std::uint64_t round = 1; round <= config.rounds; ++round) {
-    if (config.crash_round != 0 && round == config.crash_round &&
-        config.crash_fraction > 0.0) {
-      for (netsim::node_id id = 0; id < config.num_nodes; ++id) {
-        if (crash_gen.next_bernoulli(config.crash_fraction)) sim.crash_node(id);
-      }
-    }
-    if (config.partition_round != 0 && round == config.partition_round) {
-      std::vector<netsim::node_id> first_half;
-      for (netsim::node_id id = 0; id < config.num_nodes / 2; ++id) {
-        first_half.push_back(id);
-      }
-      sim.partition(first_half);
-    }
-    if (config.heal_round != 0 && round == config.heal_round) sim.heal_partition();
-
-    // Group reward of this round against the pre-round popularity —
-    // the protocol analogue of Σ_j Q^{t−1}_j R^t_j.
-    for (std::size_t j = 0; j < m; ++j) {
-      reward_sum += popularity[j] * static_cast<double>(oracle.signal(round, j));
-    }
-
-    sim.run_until(static_cast<double>(round) * params.round_interval);
-
-    std::vector<std::uint64_t> counts(m, 0);
-    std::uint64_t committed = 0;
-    std::uint64_t alive = 0;
-    for (netsim::node_id id = 0; id < config.num_nodes; ++id) {
-      if (!sim.is_alive(id)) continue;
-      ++alive;
-      const std::int32_t choice = learners[id]->choice();
-      if (choice >= 0) {
-        ++counts[static_cast<std::size_t>(choice)];
-        ++committed;
-      }
-    }
-    if (committed > 0) {
-      for (std::size_t j = 0; j < m; ++j) {
-        popularity[j] = static_cast<double>(counts[j]) / static_cast<double>(committed);
-      }
-    } else {
-      std::fill(popularity.begin(), popularity.end(), 1.0 / static_cast<double>(m));
-    }
-    result.best_fraction.push_back(popularity[best]);
-    result.committed_fraction.push_back(
-        alive == 0 ? 0.0 : static_cast<double>(committed) / static_cast<double>(alive));
-  }
-
-  result.net = sim.stats();
-  result.average_regret = eta_best - reward_sum / static_cast<double>(config.rounds);
-  return result;
 }
 
 }  // namespace sgl::protocol

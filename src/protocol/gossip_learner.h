@@ -23,6 +23,7 @@
 /// the empirical distribution of the nodes' single-integer states, exactly
 /// the "weights as popularity" reading of the MWU connection.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,35 +34,24 @@
 
 namespace sgl::protocol {
 
-/// Where a node's sensing of R^r_j comes from.  Every node sensing option j
-/// during round r must see the same realization — the paper's shared
-/// R^t_j — without any global coordination in the protocol itself.  Two
-/// implementations exist: the self-contained signal_oracle below (pure
-/// function of the seed, for standalone runs) and the harness-posted board
-/// in protocol_engine.h (the environment's sampled R^t, for scenario runs).
-class signal_source {
+/// The shared signal board: serves the environment's sampled R^t to every
+/// node for the duration of the current round, realizing the paper's
+/// shared-signal assumption — every node sensing option j during round r
+/// sees the same realization R^r_j — without any global coordination in
+/// the protocol itself.  protocol_engine posts each step's row.
+class posted_signals {
  public:
-  virtual ~signal_source() = default;
-  [[nodiscard]] virtual std::uint8_t signal(std::uint64_t round,
-                                            std::size_t option) const = 0;
-  [[nodiscard]] virtual std::size_t num_options() const noexcept = 0;
-};
+  explicit posted_signals(std::size_t num_options) : row_(num_options, 0) {}
 
-/// Shared signal oracle: R^r_j as a pure function of (seed, round, option),
-/// Bernoulli(η_j).
-class signal_oracle final : public signal_source {
- public:
-  /// Throws std::invalid_argument if any η is outside [0,1] or none given.
-  signal_oracle(std::vector<double> etas, std::uint64_t seed);
+  void post(std::span<const std::uint8_t> rewards) {
+    std::copy(rewards.begin(), rewards.end(), row_.begin());
+  }
 
-  [[nodiscard]] std::uint8_t signal(std::uint64_t round, std::size_t option) const override;
-  [[nodiscard]] std::size_t num_options() const noexcept override { return etas_.size(); }
-  [[nodiscard]] std::span<const double> etas() const noexcept { return etas_; }
-  [[nodiscard]] std::size_t best_option() const noexcept;
+  [[nodiscard]] std::uint8_t signal(std::size_t option) const { return row_[option]; }
+  [[nodiscard]] std::size_t num_options() const noexcept { return row_.size(); }
 
  private:
-  std::vector<double> etas_;
-  std::uint64_t seed_;
+  std::vector<std::uint8_t> row_;
 };
 
 /// Protocol knobs.
@@ -78,17 +68,13 @@ struct gossip_params {
   /// does); without latching the protocol is asynchronous within a round.
   bool lockstep = false;
 
-  /// Start committed to a uniformly random option (the standalone runs'
-  /// historical behaviour).  The harness adapter starts uncommitted to
-  /// match the dynamics_engine initial-state contract (nobody committed,
-  /// uniform popularity).
-  bool start_committed = true;
-
   /// Throws std::invalid_argument on a non-positive round interval.
   void validate() const;
 };
 
 /// One protocol participant.  State: a single int (plus borrowed config).
+/// A node starts uncommitted, matching the dynamics_engine initial-state
+/// contract (nobody committed, uniform popularity).
 class gossip_learner final : public netsim::node {
  public:
   static constexpr std::int32_t k_sample_request = 1;
@@ -96,7 +82,7 @@ class gossip_learner final : public netsim::node {
   static constexpr std::int32_t k_round_timer = 7;
 
   /// `signals` is borrowed and must outlive the simulation.
-  gossip_learner(const gossip_params& params, const signal_source* signals);
+  gossip_learner(const gossip_params& params, const posted_signals* signals);
 
   void on_start(netsim::context& ctx) override;
   void on_message(netsim::context& ctx, const netsim::message& msg) override;
@@ -115,39 +101,10 @@ class gossip_learner final : public netsim::node {
   [[nodiscard]] std::uint64_t current_round(const netsim::context& ctx) const noexcept;
 
   gossip_params params_;
-  const signal_source* signals_;
+  const posted_signals* signals_;
   std::int32_t choice_ = -1;
   std::int32_t latched_choice_ = -1;
   std::uint32_t retries_left_ = 0;
 };
-
-/// End-to-end experiment runner used by bench e14 and the sensor-network
-/// example: builds a simulation over `num_nodes` gossip learners, runs
-/// `rounds` rounds, snapshots popularity each round.
-struct gossip_run_result {
-  std::vector<double> best_fraction;       ///< per round: committed on best / committed
-  std::vector<double> committed_fraction;  ///< per round: committed / alive
-  netsim::network_stats net;
-  double average_regret = 0.0;  ///< η_best − mean_t Σ_j Q^{t−1}_j R^t_j
-};
-
-struct gossip_run_config {
-  std::size_t num_nodes = 100;
-  std::uint64_t rounds = 200;
-  std::uint64_t seed = 1;
-  netsim::link_model links;
-  const graph::graph* topology = nullptr;  ///< borrowed; nullptr = complete
-  double crash_fraction = 0.0;   ///< fraction of nodes crashed mid-run
-  std::uint64_t crash_round = 0; ///< when (0 disables even if fraction > 0)
-  /// Split-brain injection: at partition_round the first half of the nodes
-  /// is cut off from the second half; at heal_round the cut is removed.
-  /// 0 disables.
-  std::uint64_t partition_round = 0;
-  std::uint64_t heal_round = 0;
-};
-
-[[nodiscard]] gossip_run_result run_gossip_experiment(const gossip_params& params,
-                                                      const signal_oracle& oracle,
-                                                      const gossip_run_config& config);
 
 }  // namespace sgl::protocol

@@ -3,7 +3,7 @@
 /// \file registry.h
 /// The catalog of named scenarios.  Each entry is a complete scenario_spec
 /// keyed by a stable name; callers fetch a spec, override whatever fields
-/// their sweep varies (horizon, N, β, …), and hand it to scenario::run.
+/// their sweep varies (horizon, N, β, …), and hand it to scenario::run_probes.
 /// The CLI lists and runs these by name; the bench drivers and examples
 /// start from them instead of hand-rolling setup.
 

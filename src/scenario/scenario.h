@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/finite_dynamics.h"
 #include "core/grouped_dynamics.h"
 #include "core/params.h"
 #include "env/reward_model.h"
@@ -250,11 +252,6 @@ void validate_spec(const scenario_spec& spec);
 /// factory later.
 [[nodiscard]] std::string topology_build_error(const topology_spec& spec,
                                                std::size_t num_agents);
-
-/// One-call convenience: run the scenario under the generic Monte-Carlo
-/// harness.  Calls validate_spec first.
-[[nodiscard]] core::run_result run(const scenario_spec& spec,
-                                   const core::run_config& config);
 
 /// Runs the scenario with an explicit probe set (core/probe.h spec
 /// grammar).  Empty `probe_specs` falls back to the scenario's own

@@ -138,7 +138,8 @@ std::size_t run_sweep_streaming(
       clones.reserve(state.prototypes.size());
       for (const auto& prototype : state.prototypes) clones.push_back(prototype->clone());
       state.shard_probes[s] = std::move(clones);
-      if (s * state.layout.chunk < config.replications) {
+      const auto [lo, hi] = state.layout.bounds(s, config.replications);
+      if (lo < hi) {
         items.emplace_back(p, s);
         ++live_shards;
       }
@@ -168,9 +169,7 @@ std::size_t run_sweep_streaming(
             hooks.cancel != nullptr && hooks.cancel->load(std::memory_order_acquire);
         if (!cancelled) {
           fetch_min(state.first_start_ns, now_ns());
-          const std::size_t lo = s * state.layout.chunk;
-          const std::size_t hi = std::min(static_cast<std::size_t>(config.replications),
-                                          lo + state.layout.chunk);
+          const auto [lo, hi] = state.layout.bounds(s, config.replications);
           {
             auto context = state.contexts->borrow();
             for (std::size_t replication = lo; replication < hi; ++replication) {

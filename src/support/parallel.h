@@ -127,12 +127,23 @@ inline constexpr std::size_t default_shard_count = 64;
 struct shard_layout {
   std::size_t shard_count = 1;
   std::size_t chunk = 0;
+
+  /// Block `s` of [0, count) as the half-open range [lo, hi), empty past
+  /// the end.  No intermediate wraps, even for counts near SIZE_MAX
+  /// (`lo + chunk` would).
+  [[nodiscard]] constexpr std::pair<std::size_t, std::size_t> bounds(
+      std::size_t s, std::size_t count) const noexcept {
+    const std::size_t lo = std::min(s * chunk, count);
+    return {lo, lo + std::min(chunk, count - lo)};
+  }
 };
 [[nodiscard]] constexpr shard_layout reduce_layout(
     std::size_t count, std::size_t shard_count = default_shard_count) noexcept {
   if (shard_count == 0) shard_count = 1;
   shard_count = std::min(shard_count, std::max<std::size_t>(count, 1));
-  return {shard_count, (count + shard_count - 1) / shard_count};
+  // ceil(count / shard_count) without the `count + shard_count - 1`
+  // intermediate, which wraps for counts near SIZE_MAX.
+  return {shard_count, count / shard_count + (count % shard_count != 0)};
 }
 
 /// Sharded map-reduce over [0, count): the index range is split into
@@ -156,8 +167,7 @@ template <typename Shard, typename MakeShard, typename Fold, typename Merge>
   parallel_tasks(
       shard_count,
       [&](std::size_t s) {
-        const std::size_t lo = s * layout.chunk;
-        const std::size_t hi = std::min(count, lo + layout.chunk);
+        const auto [lo, hi] = layout.bounds(s, count);
         for (std::size_t i = lo; i < hi; ++i) fold(shards[s], i);
       },
       threads);

@@ -21,7 +21,9 @@
 #include "core/grouped_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "core/params.h"
+#include "core/probe.h"
 #include "env/reward_model.h"
+#include "regret_helpers.h"
 #include "support/rng.h"
 
 namespace sgl::core {
@@ -199,7 +201,7 @@ TEST(dynamics_engine, batched_choices_are_consistent_with_counts) {
   }
 }
 
-TEST(dynamics_engine, run_scenario_accepts_any_engine_factory) {
+TEST(dynamics_engine, run_with_probes_accepts_any_engine_factory) {
   // The generic runner only sees dynamics_engine; every engine kind must
   // run through it, scalars always, curves exactly when requested.
   const dynamics_params params = make_params(3, 0.1, 0.65);
@@ -220,24 +222,28 @@ TEST(dynamics_engine, run_scenario_accepts_any_engine_factory) {
   config.horizon = 60;
   config.replications = 8;
   config.seed = 5;
+  const regret_probe scalars;
+  const trajectory_probe curves;
   for (const auto& factory : factories) {
-    const run_result plain = run_scenario(factory, env, config);
-    EXPECT_EQ(plain.scalars.replications, 8U);
-    EXPECT_FALSE(plain.curves.has_value());
-    EXPECT_NEAR(plain.scalars.average_reward.mean + plain.scalars.regret.mean, 0.8,
-                1e-9);
+    const probe* plain_probes[] = {&scalars};
+    const probe_list plain_merged = run_with_probes(factory, env, config, plain_probes);
+    ASSERT_EQ(plain_merged.size(), 1U);
+    const regret_estimate plain = test::regret_of(plain_merged);
+    EXPECT_EQ(plain.replications, 8U);
+    EXPECT_NEAR(plain.average_reward.mean + plain.regret.mean, 0.8, 1e-9);
 
-    run_config curved = config;
-    curved.collect_curves = true;
-    const run_result with_curves = run_scenario(factory, env, curved);
-    ASSERT_TRUE(with_curves.curves.has_value());
-    EXPECT_EQ(with_curves.curves->best_mass.length(), 60U);
+    const probe* curved_probes[] = {&scalars, &curves};
+    const probe_list curved = run_with_probes(factory, env, config, curved_probes);
+    ASSERT_EQ(curved.size(), 2U);
+    EXPECT_EQ(dynamic_cast<const trajectory_probe&>(*curved[1]).best_mass().length(), 60U);
     // Same seed => identical scalar estimates with or without curves.
-    EXPECT_DOUBLE_EQ(with_curves.scalars.regret.mean, plain.scalars.regret.mean);
+    EXPECT_DOUBLE_EQ(
+        dynamic_cast<const regret_probe&>(*curved[0]).regret_stats().mean(),
+        plain.regret.mean);
   }
 }
 
-TEST(dynamics_engine, infinite_engine_adapters) {
+TEST(dynamics_engine, infinite_dynamics_adapters) {
   const dynamics_params params = make_params(4, 0.1, 0.6);
   infinite_dynamics dyn{params};
   const dynamics_engine& engine = dyn;

@@ -108,17 +108,21 @@ TEST_F(fsck_cli_test, quarantine_then_recompute_round_trip) {
 
 // --- the CLI subcommand ------------------------------------------------------
 
-/// Runs `sociolearn_cli fsck <args>` and returns its exit code, or nullopt
-/// when the binary is not available (tools not built).
-std::optional<int> run_fsck_cli(const std::string& args) {
+/// Runs `sociolearn_cli <args>` under a 20 s `timeout` (a hang exits 124)
+/// and returns its exit code, or nullopt when the binary is not available
+/// (tools not built).
+std::optional<int> run_cli(const std::string& args) {
   const char* cli = std::getenv("SGL_CLI_PATH");
   if (cli == nullptr || *cli == '\0') return std::nullopt;
   const std::string command =
-      std::string{cli} + " fsck " + args + " >/dev/null 2>&1";
+      "timeout 20 " + std::string{cli} + " " + args + " >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   if (status < 0) return std::nullopt;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+/// Runs `sociolearn_cli fsck <args>`; see run_cli.
+std::optional<int> run_fsck_cli(const std::string& args) { return run_cli("fsck " + args); }
 
 #define REQUIRE_CLI(result)                                              \
   if (!(result)) GTEST_SKIP() << "SGL_CLI_PATH not set (tools not built)"
@@ -164,6 +168,29 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
     store.put(test_digest(), payload);
   }
   EXPECT_EQ(*run_fsck_cli("--store " + store_dir().string()), 0);
+}
+
+// --- negative run flags ------------------------------------------------------
+
+TEST_F(fsck_cli_test, negative_run_flags_exit_2) {
+  // A negative --horizon used to spin until killed, --threads -1 became
+  // 4294967295 workers and --reps -1 ran zero replications.  Each must be
+  // a prompt usage error instead.
+  const std::optional<int> probe = run_cli("scenarios");
+  REQUIRE_CLI(probe);
+  const std::string run = " --name quickstart --horizon 10 --reps 2";
+  for (const std::string command : {"scenario", "sweep"}) {
+    for (const std::string flag : {"--horizon -1", "--reps -1", "--threads -1",
+                                   "--agents -2", "--engine-threads -2"}) {
+      EXPECT_EQ(*run_cli(command + run + " " + flag), 2) << command << " " << flag;
+    }
+  }
+  // submit validates before it connects: the socket need not exist.
+  const std::string submit =
+      "submit --socket " + (root_ / "no.sock").string() + " --retries 0" + run;
+  for (const std::string flag : {"--horizon -1", "--reps -1"}) {
+    EXPECT_EQ(*run_cli(submit + " " + flag), 2) << "submit " << flag;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/bandit.h"
@@ -13,15 +14,20 @@
 #include "core/experiment.h"
 #include "core/finite_dynamics.h"
 #include "core/params.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/ef_model.h"
 #include "env/reward_model.h"
-#include "protocol/gossip_learner.h"
+#include "regret_helpers.h"
+#include "scenario/scenario.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
 namespace sgl {
 namespace {
+
+using test::bernoulli_spec;
+using test::regret_of;
 
 TEST(integration, epoch_restart_preserves_learning) {
   // The large-T proof restarts analysis at epoch boundaries from the current
@@ -118,9 +124,7 @@ TEST(integration, group_learning_beats_population_of_random_bandits) {
   config.horizon = 200;
   config.replications = 60;
   config.seed = 5;
-  const core::regret_estimate group = core::estimate_finite_regret(
-      params, 2000,
-      [&] { return std::make_unique<env::bernoulli_rewards>(etas); }, config);
+  const core::regret_estimate group = regret_of(bernoulli_spec(params, 2000, etas), config);
 
   // Uniform players earn mean(etas) per step forever.
   double uniform_reward = 0.0;
@@ -183,10 +187,9 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
   config.horizon = 300;
   config.replications = 80;
   config.seed = 8;
-  const auto factory = [&] { return std::make_unique<env::bernoulli_rewards>(etas); };
 
   const core::regret_estimate full =
-      core::estimate_finite_regret(core::theorem_params(2, 0.65), 2000, factory, config);
+      regret_of(bernoulli_spec(core::theorem_params(2, 0.65), 2000, etas), config);
 
   // Pure copying: adoption blind to signals (β = α = 1).
   core::dynamics_params copy_only;
@@ -194,16 +197,14 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
   copy_only.mu = 0.0;
   copy_only.beta = 1.0;
   copy_only.alpha = 1.0;
-  const core::regret_estimate copying =
-      core::estimate_finite_regret(copy_only, 2000, factory, config);
+  const core::regret_estimate copying = regret_of(bernoulli_spec(copy_only, 2000, etas), config);
 
   // No social sampling: μ = 1 (uniform consideration forever).
   core::dynamics_params no_social;
   no_social.num_options = 2;
   no_social.mu = 1.0;
   no_social.beta = 0.65;
-  const core::regret_estimate solo =
-      core::estimate_finite_regret(no_social, 2000, factory, config);
+  const core::regret_estimate solo = regret_of(bernoulli_spec(no_social, 2000, etas), config);
 
   EXPECT_LT(full.regret.mean, copying.regret.mean - copying.regret.half_width)
       << "signal-blind copying cannot identify the best option";
@@ -219,25 +220,29 @@ TEST(integration, gossip_protocol_matches_synchronous_dynamics) {
   const std::vector<double> etas{0.85, 0.35};
   const core::dynamics_params params = core::theorem_params(2, 0.65);
 
-  protocol::gossip_params gossip;
-  gossip.dynamics = params;
-  protocol::signal_oracle oracle{etas, 91};
-  protocol::gossip_run_config gossip_config;
-  gossip_config.num_nodes = 300;
-  gossip_config.rounds = 200;
+  // One protocol run: 300 nodes, 200 rounds, over the netsim default link
+  // model (one round of latency per message).
+  scenario::scenario_spec gossip;
+  gossip.engine = scenario::engine_kind::protocol;
+  gossip.num_agents = 300;
+  gossip.params = params;
+  gossip.environment.etas = etas;
+  gossip.protocol.base_latency = 1.0;
+  core::run_config gossip_config;
+  gossip_config.horizon = 200;
+  gossip_config.replications = 1;
   gossip_config.seed = 9;
-  const protocol::gossip_run_result async =
-      protocol::run_gossip_experiment(gossip, oracle, gossip_config);
+  const std::vector<std::string> probes{"trajectory"};
+  const core::probe_list async = scenario::run_probes(gossip, gossip_config, probes);
+  const auto& async_curves = dynamic_cast<const core::trajectory_probe&>(*async[0]);
   running_stats async_late;
-  for (std::size_t t = 150; t < 200; ++t) async_late.add(async.best_fraction[t]);
+  for (std::size_t t = 150; t < 200; ++t) async_late.add(async_curves.best_mass().mean(t));
 
   core::run_config config;
   config.horizon = 200;
   config.replications = 40;
   config.seed = 10;
-  const core::regret_estimate sync = core::estimate_finite_regret(
-      params, 300, [&] { return std::make_unique<env::bernoulli_rewards>(etas); },
-      config);
+  const core::regret_estimate sync = regret_of(bernoulli_spec(params, 300, etas), config);
 
   EXPECT_NEAR(async_late.mean(), sync.final_best_mass.mean, 0.15);
   EXPECT_GT(async_late.mean(), 0.6);
@@ -254,13 +259,8 @@ TEST(integration, regret_estimate_consistent_with_theory_kit) {
         std::ceil(std::max(core::theory::min_horizon(6, beta), 10.0)));
     config.replications = 80;
     config.seed = 11;
-    const core::regret_estimate est = core::estimate_finite_regret(
-        params, 20000,
-        [] {
-          return std::make_unique<env::bernoulli_rewards>(
-              env::two_level_etas(6, 0.85, 0.35));
-        },
-        config);
+    const core::regret_estimate est =
+        regret_of(bernoulli_spec(params, 20000, env::two_level_etas(6, 0.85, 0.35)), config);
     EXPECT_LE(est.regret.mean - est.regret.half_width,
               core::theory::finite_regret_bound(beta));
   }

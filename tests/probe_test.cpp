@@ -1,5 +1,5 @@
 // Tests for the probe API: the built-in regret/trajectory probes must
-// reproduce the pre-redesign estimate_*/collect_* numbers EXACTLY (golden
+// reproduce the pre-redesign fixed-reduction numbers EXACTLY (golden
 // values captured from the fixed-reduction implementation before probes
 // existed), probes must merge deterministically across thread counts, the
 // new probes must measure what they claim, and the probe spec grammar must
@@ -11,19 +11,30 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/params.h"
 #include "env/reward_model.h"
+#include "regret_helpers.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 
 namespace sgl::core {
 namespace {
 
+using test::bernoulli_spec;
+using test::regret_of;
+
 env_factory bernoulli_factory(std::vector<double> etas) {
   return [etas] { return std::make_unique<env::bernoulli_rewards>(etas); };
+}
+
+/// The aggregate engine factory of bernoulli_spec (the environment comes
+/// from the caller).
+engine_factory aggregate_engine(const dynamics_params& params, std::uint64_t n) {
+  return scenario::make_engine(bernoulli_spec(params, n, {}));
 }
 
 probe_list run_probe(const engine_factory& engines, const env_factory& envs,
@@ -35,9 +46,9 @@ probe_list run_probe(const engine_factory& engines, const env_factory& envs,
 // --- golden equivalence with the pre-redesign fixed reduction ---------------
 //
 // These constants were printed with %.17g by the seed implementation (the
-// hand-rolled reduction inside run_scenario, commit 9959ddf) and parse back
-// to the exact doubles it produced.  The probe-based runner must match them
-// bit for bit.
+// hand-rolled fixed reduction of the harness, commit 9959ddf) and parse
+// back to the exact doubles it produced.  The probe-based runner must match
+// them bit for bit.
 
 TEST(probe_golden, finite_regret_estimate_matches_pre_redesign_numbers) {
   run_config config;
@@ -45,8 +56,8 @@ TEST(probe_golden, finite_regret_estimate_matches_pre_redesign_numbers) {
   config.replications = 24;
   config.seed = 123;
   config.threads = 3;
-  const regret_estimate est = estimate_finite_regret(
-      theorem_params(3, 0.65), 400, bernoulli_factory({0.8, 0.45, 0.4}), config);
+  const regret_estimate est =
+      regret_of(bernoulli_spec(theorem_params(3, 0.65), 400, {0.8, 0.45, 0.4}), config);
 
   EXPECT_EQ(est.regret.mean, 0.11268049156909628);
   EXPECT_EQ(est.regret.half_width, 0.021475501421871532);
@@ -66,8 +77,8 @@ TEST(probe_golden, infinite_regret_estimate_matches_pre_redesign_numbers) {
   config.replications = 16;
   config.seed = 7;
   config.threads = 2;
-  const regret_estimate est = estimate_infinite_regret(
-      theorem_params(4, 0.62), bernoulli_factory({0.8, 0.4, 0.4, 0.4}), config);
+  const regret_estimate est =
+      regret_of(bernoulli_spec(theorem_params(4, 0.62), 0, {0.8, 0.4, 0.4, 0.4}), config);
 
   EXPECT_EQ(est.regret.mean, 0.11550083862632068);
   EXPECT_EQ(est.regret.half_width, 0.028754513917564894);
@@ -85,16 +96,18 @@ TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
   config.replications = 10;
   config.seed = 31;
   config.threads = 4;
-  const trajectory_estimate curves = collect_finite_trajectory(
-      theorem_params(2, 0.62), 250, bernoulli_factory({0.85, 0.35}), config);
+  const std::vector<std::string> probes{"trajectory"};
+  const probe_list merged = scenario::run_probes(
+      bernoulli_spec(theorem_params(2, 0.62), 250, {0.85, 0.35}), config, probes);
+  const trajectory_probe& curves = dynamic_cast<const trajectory_probe&>(*merged.at(0));
 
-  EXPECT_EQ(curves.running_regret.mean(0), 0.24999999999999997);
-  EXPECT_EQ(curves.running_regret.mean(39), 0.083470043833588622);
-  EXPECT_EQ(curves.running_regret.ci(39).half_width, 0.041483229633138073);
-  EXPECT_EQ(curves.best_mass.mean(39), 0.91374372553448369);
-  EXPECT_EQ(curves.best_mass.ci(39).half_width, 0.03073259684297832);
-  EXPECT_EQ(curves.min_popularity.mean(39), 0.086256274465516244);
-  EXPECT_EQ(curves.best_mass.replications(), 10U);
+  EXPECT_EQ(curves.running_regret().mean(0), 0.24999999999999997);
+  EXPECT_EQ(curves.running_regret().mean(39), 0.083470043833588622);
+  EXPECT_EQ(curves.running_regret().ci(39).half_width, 0.041483229633138073);
+  EXPECT_EQ(curves.best_mass().mean(39), 0.91374372553448369);
+  EXPECT_EQ(curves.best_mass().ci(39).half_width, 0.03073259684297832);
+  EXPECT_EQ(curves.min_popularity().mean(39), 0.086256274465516244);
+  EXPECT_EQ(curves.best_mass().replications(), 10U);
 }
 
 TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
@@ -107,18 +120,18 @@ TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
   // SIMD v3 kernel (different stream derivation) is not auto-selected.
   scenario::scenario_spec spec = scenario::get_scenario("ring");
   spec.engine_kernel = kernel_kind::scalar;
-  const run_result result = scenario::run(spec, config);
+  const regret_estimate est = regret_of(spec, config);
 
-  EXPECT_EQ(result.scalars.regret.mean, 0.17502155660354757);
-  EXPECT_EQ(result.scalars.regret.half_width, 0.031087072503648484);
-  EXPECT_EQ(result.scalars.average_reward.mean, 0.67497844339645274);
-  EXPECT_EQ(result.scalars.best_mass.mean, 0.68957747915354717);
-  EXPECT_EQ(result.scalars.final_best_mass.mean, 0.6832410721701172);
+  EXPECT_EQ(est.regret.mean, 0.17502155660354757);
+  EXPECT_EQ(est.regret.half_width, 0.031087072503648484);
+  EXPECT_EQ(est.average_reward.mean, 0.67497844339645274);
+  EXPECT_EQ(est.best_mass.mean, 0.68957747915354717);
+  EXPECT_EQ(est.final_best_mass.mean, 0.6832410721701172);
 }
 
-// --- probe-vs-wrapper equivalence -------------------------------------------
+// --- scenario front door vs the bare runner ---------------------------------
 
-TEST(probe, regret_probe_report_equals_estimate_wrapper) {
+TEST(probe, regret_probe_report_equals_scenario_run_probes) {
   const dynamics_params params = theorem_params(3, 0.65);
   const auto envs = bernoulli_factory({0.8, 0.45, 0.4});
   run_config config;
@@ -126,9 +139,8 @@ TEST(probe, regret_probe_report_equals_estimate_wrapper) {
   config.replications = 12;
   config.seed = 9;
 
-  const regret_estimate est = estimate_finite_regret(params, 200, envs, config);
-  const auto merged = run_probe(make_finite_engine_factory(params, 200), envs, config,
-                                regret_probe{});
+  const regret_estimate est = regret_of(bernoulli_spec(params, 200, {0.8, 0.45, 0.4}), config);
+  const auto merged = run_probe(aggregate_engine(params, 200), envs, config, regret_probe{});
   const auto& probe = dynamic_cast<const regret_probe&>(*merged[0]);
   const regret_estimate from_probe = to_regret_estimate(probe);
   EXPECT_EQ(est.regret.mean, from_probe.regret.mean);
@@ -161,7 +173,7 @@ TEST(probe, reports_are_thread_count_independent) {
     std::vector<const probe*> pointers;
     for (const auto& p : prototypes) pointers.push_back(p.get());
     return collect_reports(
-        run_with_probes(make_finite_engine_factory(params, 300), envs, c, pointers));
+        run_with_probes(aggregate_engine(params, 300), envs, c, pointers));
   };
 
   const auto one = run_at(1);
@@ -187,7 +199,7 @@ TEST(probe, hitting_time_on_learning_run) {
   config.replications = 10;
   config.seed = 3;
   const auto merged =
-      run_probe(make_finite_engine_factory(params, 400),
+      run_probe(aggregate_engine(params, 400),
                 bernoulli_factory({0.9, 0.2}), config, hitting_time_probe{0.3});
   const auto& probe = dynamic_cast<const hitting_time_probe&>(*merged[0]);
   // A strongly separated two-option instance concentrates well past 70%.
@@ -206,7 +218,7 @@ TEST(probe, popularity_floor_stays_positive_with_exploration) {
   config.replications = 8;
   config.seed = 11;
   const auto merged =
-      run_probe(make_finite_engine_factory(params, 500),
+      run_probe(aggregate_engine(params, 500),
                 bernoulli_factory({0.85, 0.35}), config, popularity_floor_probe{0.0});
   const auto& probe = dynamic_cast<const popularity_floor_probe&>(*merged[0]);
   EXPECT_GT(probe.min_popularity_stats().min(), 0.0);
@@ -222,7 +234,7 @@ TEST(probe, final_histogram_masses_sum_to_one) {
   config.replications = 6;
   config.seed = 21;
   const auto merged =
-      run_probe(make_finite_engine_factory(params, 300),
+      run_probe(aggregate_engine(params, 300),
                 bernoulli_factory({0.8, 0.5, 0.3}), config, final_histogram_probe{});
   const probe_report report = merged[0]->report();
   const probe_series* means = report.find_series("final_popularity_mean");
@@ -245,7 +257,7 @@ TEST(probe, recovery_counts_switches_and_measures_recovery) {
   const env_factory envs = [] {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 80);
   };
-  const auto merged = run_probe(make_finite_engine_factory(params, 500), envs, config,
+  const auto merged = run_probe(aggregate_engine(params, 500), envs, config,
                                 recovery_probe{0.4});
   const auto& probe = dynamic_cast<const recovery_probe&>(*merged[0]);
   // The best option rotates at t = 80, 160, 240: three switches per
@@ -269,7 +281,7 @@ TEST(probe, deterministic_schedule_never_recovers_when_threshold_unreachable) {
   const env_factory envs = [] {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 40);
   };
-  const auto merged = run_probe(make_finite_engine_factory(params, 100), envs, config,
+  const auto merged = run_probe(aggregate_engine(params, 100), envs, config,
                                 recovery_probe{0.01});
   const auto& probe = dynamic_cast<const recovery_probe&>(*merged[0]);
   EXPECT_EQ(probe.recovery_time_stats().count(), 0U);
@@ -287,7 +299,7 @@ TEST(probe, adding_probes_does_not_change_results) {
   config.replications = 8;
   config.seed = 41;
 
-  const auto bare = run_probe(make_finite_engine_factory(params, 200), envs, config,
+  const auto bare = run_probe(aggregate_engine(params, 200), envs, config,
                               regret_probe{});
   const regret_probe scalars;
   const hitting_time_probe hitting{0.2};
@@ -295,7 +307,7 @@ TEST(probe, adding_probes_does_not_change_results) {
   const final_histogram_probe histogram;
   const probe* pointers[] = {&scalars, &hitting, &curves, &histogram};
   const auto full =
-      run_with_probes(make_finite_engine_factory(params, 200), envs, config, pointers);
+      run_with_probes(aggregate_engine(params, 200), envs, config, pointers);
 
   const auto& a = dynamic_cast<const regret_probe&>(*bare[0]);
   const auto& b = dynamic_cast<const regret_probe&>(*full[0]);

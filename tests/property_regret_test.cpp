@@ -13,16 +13,26 @@
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
 #include "core/params.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
+#include "regret_helpers.h"
+#include "scenario/scenario.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
 namespace sgl::core {
 namespace {
 
-env_factory bernoulli_factory(std::vector<double> etas) {
-  return [etas] { return std::make_unique<env::bernoulli_rewards>(etas); };
+/// Regret of the scenario with `params` facing Bernoulli(etas) signals:
+/// the infinite (mean-field) engine when `n` is 0, the exact aggregate
+/// engine at population `n` otherwise; `start` seeds the infinite engine.
+regret_estimate regret_of(const dynamics_params& params, std::uint64_t n,
+                          std::vector<double> etas, const run_config& config,
+                          std::vector<double> start = {}) {
+  scenario::scenario_spec spec = test::bernoulli_spec(params, n, std::move(etas));
+  spec.start = std::move(start);
+  return test::regret_of(spec, config);
 }
 
 struct sweep_point {
@@ -54,8 +64,7 @@ TEST_P(theorem_43_sweep, infinite_regret_below_3delta) {
   config.horizon = horizon;
   config.replications = 120;
   config.seed = 1234;
-  const regret_estimate est =
-      estimate_infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
+  const regret_estimate est = regret_of(params, 0, sweep_etas(m), config);
   EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
       << "measured " << est.regret.mean << " vs bound " << bound;
 }
@@ -70,8 +79,7 @@ TEST_P(theorem_43_sweep, infinite_regret_still_bounded_at_4x_horizon) {
       std::ceil(4.0 * std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 60;
   config.seed = 4321;
-  const regret_estimate est =
-      estimate_infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
+  const regret_estimate est = regret_of(params, 0, sweep_etas(m), config);
   EXPECT_LE(est.regret.mean - est.regret.half_width, bound);
 }
 
@@ -97,8 +105,7 @@ TEST_P(theorem_44_sweep, finite_regret_below_6delta) {
       std::ceil(std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 120;
   config.seed = 77;
-  const regret_estimate est = estimate_finite_regret(
-      params, 20000, bernoulli_factory(sweep_etas(m)), config);
+  const regret_estimate est = regret_of(params, 20000, sweep_etas(m), config);
   EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
       << "measured " << est.regret.mean << " vs bound " << bound;
 }
@@ -114,8 +121,7 @@ TEST_P(theorem_44_sweep, finite_regret_bounded_even_for_modest_population) {
       std::ceil(std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 120;
   config.seed = 78;
-  const regret_estimate est =
-      estimate_finite_regret(params, 1000, bernoulli_factory(sweep_etas(m)), config);
+  const regret_estimate est = regret_of(params, 1000, sweep_etas(m), config);
   EXPECT_LE(est.regret.mean - est.regret.half_width, bound);
 }
 
@@ -145,8 +151,7 @@ TEST_P(best_mass_sweep, time_average_best_mass_above_bound) {
       std::ceil(2.0 * std::max(theory::min_horizon(3, beta), 8.0)));
   config.replications = 100;
   config.seed = 99;
-  const regret_estimate est = estimate_infinite_regret(
-      params, bernoulli_factory({eta1, eta1 - gap, eta1 - gap}), config);
+  const regret_estimate est = regret_of(params, 0, {eta1, eta1 - gap, eta1 - gap}, config);
   EXPECT_GE(est.best_mass.mean + est.best_mass.half_width, bound)
       << "measured " << est.best_mass.mean << " vs bound " << bound;
 }
@@ -179,8 +184,7 @@ TEST_P(theorem_46_sweep, regret_bounded_from_hostile_zeta_floor_start) {
       std::ceil(std::max(theory::nonuniform_min_horizon(zeta, beta), 8.0)));
   config.replications = 100;
   config.seed = 111;
-  const regret_estimate est = estimate_infinite_regret(
-      params, bernoulli_factory(sweep_etas(m)), config, start);
+  const regret_estimate est = regret_of(params, 0, sweep_etas(m), config, start);
   EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
       << "measured " << est.regret.mean << " vs bound " << bound;
 }
@@ -254,10 +258,8 @@ TEST(monotonicity, bigger_quality_gap_gives_more_best_mass) {
   config.horizon = 150;
   config.replications = 120;
   config.seed = 41;
-  const regret_estimate wide =
-      estimate_finite_regret(params, 5000, bernoulli_factory({0.9, 0.2}), config);
-  const regret_estimate narrow =
-      estimate_finite_regret(params, 5000, bernoulli_factory({0.9, 0.7}), config);
+  const regret_estimate wide = regret_of(params, 5000, {0.9, 0.2}, config);
+  const regret_estimate narrow = regret_of(params, 5000, {0.9, 0.7}, config);
   EXPECT_GT(wide.best_mass.mean,
             narrow.best_mass.mean + narrow.best_mass.half_width);
 }
@@ -268,11 +270,9 @@ TEST(monotonicity, smaller_beta_gives_smaller_regret_bound_and_regret) {
   config.horizon = 400;
   config.replications = 100;
   config.seed = 43;
-  const auto factory = bernoulli_factory({0.85, 0.35});
-  const regret_estimate gentle =
-      estimate_infinite_regret(theorem_params(2, 0.55), factory, config);
-  const regret_estimate aggressive =
-      estimate_infinite_regret(theorem_params(2, 0.73), factory, config);
+  const std::vector<double> etas{0.85, 0.35};
+  const regret_estimate gentle = regret_of(theorem_params(2, 0.55), 0, etas, config);
+  const regret_estimate aggressive = regret_of(theorem_params(2, 0.73), 0, etas, config);
   // Bounds are ordered by construction...
   EXPECT_LT(theory::infinite_regret_bound(0.55), theory::infinite_regret_bound(0.73));
   // ...and at long horizons the measured steady-state regret follows suit.

@@ -9,12 +9,21 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "core/probe.h"
 #include "scenario/registry.h"
 #include "support/rng.h"
 
 namespace sgl::scenario {
 namespace {
+
+/// The §2.2 scalar estimates of one harness run of `spec`.
+core::regret_estimate regret_of(const scenario_spec& spec, const core::run_config& config) {
+  const std::vector<std::string> probes{"regret"};
+  const core::probe_list merged = run_probes(spec, config, probes);
+  return core::to_regret_estimate(dynamic_cast<const core::regret_probe&>(*merged[0]));
+}
 
 TEST(registry, names_are_unique_and_lookup_works) {
   std::set<std::string> names;
@@ -36,10 +45,10 @@ TEST(registry, every_scenario_runs_end_to_end) {
   config.seed = 3;
   config.threads = 1;
   for (const auto& spec : all_scenarios()) {
-    const core::run_result result = run(spec, config);
-    EXPECT_EQ(result.scalars.replications, 2U) << spec.name;
-    EXPECT_GE(result.scalars.average_reward.mean, 0.0) << spec.name;
-    EXPECT_LE(result.scalars.average_reward.mean, 1.0) << spec.name;
+    const core::regret_estimate result = regret_of(spec, config);
+    EXPECT_EQ(result.replications, 2U) << spec.name;
+    EXPECT_GE(result.average_reward.mean, 0.0) << spec.name;
+    EXPECT_LE(result.average_reward.mean, 1.0) << spec.name;
   }
 }
 
@@ -49,9 +58,9 @@ TEST(registry, runs_are_deterministic_given_the_seed) {
   config.horizon = 40;
   config.replications = 6;
   config.seed = 11;
-  const auto a = run(spec, config).scalars;
+  const auto a = regret_of(spec, config);
   config.threads = 1;
-  const auto b = run(spec, config).scalars;
+  const auto b = regret_of(spec, config);
   EXPECT_DOUBLE_EQ(a.regret.mean, b.regret.mean);
   EXPECT_DOUBLE_EQ(a.final_best_mass.mean, b.final_best_mass.mean);
 }

@@ -10,11 +10,15 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/probe.h"
+#include "regret_helpers.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 
 namespace sgl::scenario {
 namespace {
+
+using test::regret_of;
 
 TEST(serialize, round_trip_is_field_exact_over_the_whole_registry) {
   for (const auto& spec : all_scenarios()) {
@@ -38,18 +42,13 @@ TEST(serialize, round_trip_runs_bit_identically_over_the_whole_registry) {
     config.replications = large ? 1 : 2;
 
     const scenario_spec parsed = parse_scenario(serialize_scenario(spec));
-    const core::run_result original = run(spec, config);
-    const core::run_result reparsed = run(parsed, config);
-    EXPECT_EQ(original.scalars.regret.mean, reparsed.scalars.regret.mean) << spec.name;
-    EXPECT_EQ(original.scalars.regret.half_width, reparsed.scalars.regret.half_width)
-        << spec.name;
-    EXPECT_EQ(original.scalars.average_reward.mean, reparsed.scalars.average_reward.mean)
-        << spec.name;
-    EXPECT_EQ(original.scalars.best_mass.mean, reparsed.scalars.best_mass.mean)
-        << spec.name;
-    EXPECT_EQ(original.scalars.final_best_mass.mean,
-              reparsed.scalars.final_best_mass.mean)
-        << spec.name;
+    const core::regret_estimate original = regret_of(spec, config);
+    const core::regret_estimate reparsed = regret_of(parsed, config);
+    EXPECT_EQ(original.regret.mean, reparsed.regret.mean) << spec.name;
+    EXPECT_EQ(original.regret.half_width, reparsed.regret.half_width) << spec.name;
+    EXPECT_EQ(original.average_reward.mean, reparsed.average_reward.mean) << spec.name;
+    EXPECT_EQ(original.best_mass.mean, reparsed.best_mass.mean) << spec.name;
+    EXPECT_EQ(original.final_best_mass.mean, reparsed.final_best_mass.mean) << spec.name;
   }
 }
 
@@ -355,7 +354,7 @@ TEST(validate_spec, engine_flip_cannot_strand_protocol_keys) {
   core::run_config config;
   config.horizon = 5;
   config.replications = 1;
-  EXPECT_THROW((void)run(spec, config), std::invalid_argument);
+  EXPECT_THROW((void)run_probes(spec, config), std::invalid_argument);
 
   // Default protocol knobs on a non-protocol spec stay legal (every
   // non-protocol spec carries them).
@@ -377,7 +376,7 @@ TEST(validate_spec, names_both_sides_of_an_etas_mismatch) {
   core::run_config config;
   config.horizon = 5;
   config.replications = 1;
-  EXPECT_THROW((void)run(spec, config), std::invalid_argument);
+  EXPECT_THROW((void)run_probes(spec, config), std::invalid_argument);
 }
 
 TEST(validate_spec, drifting_checks_end_etas_too) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -337,6 +339,39 @@ TEST(parallel_reduce, handles_count_smaller_than_shards) {
       [](running_stats& into, const running_stats& from) { into.merge(from); }, 8, 64);
   EXPECT_EQ(result.count(), 3U);
   EXPECT_NEAR(result.mean(), 1.0, 1e-12);
+}
+
+TEST(parallel_reduce, shards_cover_count_exactly_once) {
+  // Small counts: fold every index and check each lands exactly once, in
+  // shard order.
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65}}) {
+    const auto seen = parallel_reduce<std::vector<std::size_t>>(
+        count, [] { return std::vector<std::size_t>{}; },
+        [](std::vector<std::size_t>& s, std::size_t i) { s.push_back(i); },
+        [](std::vector<std::size_t>& into, const std::vector<std::size_t>& from) {
+          into.insert(into.end(), from.begin(), from.end());
+        },
+        4);
+    std::vector<std::size_t> expected(count);
+    for (std::size_t i = 0; i < count; ++i) expected[i] = i;
+    EXPECT_EQ(seen, expected) << "count " << count;
+  }
+  // Counts near SIZE_MAX cannot be folded index by index; walk instead the
+  // blocks parallel_reduce and the sweep scheduler fold, layout.bounds(s,
+  // count), and check they tile [0, count) in order.
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65}, SIZE_MAX}) {
+    const shard_layout layout = reduce_layout(count);
+    std::size_t covered = 0;
+    for (std::size_t s = 0; s < layout.shard_count; ++s) {
+      const auto [lo, hi] = layout.bounds(s, count);
+      EXPECT_EQ(lo, covered) << "count " << count << " shard " << s;
+      EXPECT_LE(lo, hi) << "count " << count << " shard " << s;
+      covered = hi;
+    }
+    EXPECT_EQ(covered, count) << "count " << count;
+  }
 }
 
 TEST(parallel_reduce, propagates_exceptions) {

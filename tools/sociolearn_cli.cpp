@@ -14,17 +14,10 @@
 //   sociolearn_cli sweep     --name mixed_baseline --sweep params.beta=0.55:0.75:0.05
 //       the same command with one run per grid point (axes are repeatable;
 //       the cartesian product is taken, last axis fastest).
-//   sociolearn_cli simulate  --engine finite|aggregate|infinite --m ... --beta ...
-//       runs one trajectory and writes a per-step CSV to stdout.
-//   sociolearn_cli regret    --m ... --beta ... --agents ... --horizon ... --reps ...
-//       Monte-Carlo regret estimate with confidence intervals.
-//   sociolearn_cli gossip    --nodes ... --rounds ... --drop ...
-//       runs the sensor-network protocol standalone and writes the
-//       per-round CSV.  Protocol runs under the full Monte-Carlo harness
-//       (replications, probes, sweeps) go through the `scenario`/`sweep`
-//       subcommands instead: the gossip_* registry scenarios run the
-//       netsim-backed protocol engine, configured by `protocol.*` keys
-//       (e.g. --sweep protocol.drop_probability=0:0.3:0.1).
+//       The gossip_* registry scenarios run the netsim-backed protocol
+//       engine, configured by `protocol.*` and `faults.*` keys (e.g.
+//       --sweep protocol.drop_probability=0:0.3:0.1); --probes regret
+//       gives the Monte-Carlo regret table and --curves the per-step CSV.
 //   sociolearn_cli scenario  --name gossip_partition_heal --trace-out t.jsonl --check-trace
 //       records one replication's structured netsim trace and replays it
 //       against the protocol invariants (analysis/trace_check.h).
@@ -36,10 +29,11 @@
 //       job reaches a terminal state; `status` and `cancel` address a job
 //       by the id the job_accepted event carried.
 //
-// Every subcommand accepts --format table|json|csv.  Every run is
-// constructed through the scenario layer (scenario/) and executed by the
-// probe-based runner (core/experiment.h, core/probe.h); everything is
-// deterministic given --seed.
+// Every subcommand except the service client (submit/status/cancel)
+// accepts --format table|json|csv.  Every run is constructed through the
+// scenario layer (scenario/) and executed by the probe-based runner
+// (core/experiment.h, core/probe.h); everything is deterministic given
+// --seed.
 
 #include <algorithm>
 #include <chrono>
@@ -59,9 +53,7 @@
 #include "core/experiment.h"
 #include "core/probe.h"
 #include "core/theory.h"
-#include "env/reward_model.h"
 #include "netsim/trace.h"
-#include "protocol/gossip_learner.h"
 #include "protocol/protocol_engine.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -112,40 +104,6 @@ void emit_table(const text_table& table, output_format format) {
   }
 }
 
-// --- shared model flags -----------------------------------------------------
-
-void add_model_flags(flag_set& flags) {
-  flags.add_int64("m", 4, "number of options");
-  flags.add_double("beta", 0.65, "adopt probability on a good signal");
-  flags.add_double("alpha", -1.0, "adopt probability on a bad signal (-1 = 1-beta)");
-  flags.add_double("mu", -1.0, "exploration weight (-1 = delta^2/6)");
-  flags.add_double("eta-best", 0.85, "quality of the best option");
-  flags.add_double("eta-rest", 0.35, "quality of every other option");
-  flags.add_int64("seed", 1, "master RNG seed");
-}
-
-core::dynamics_params read_params(const flag_set& flags) {
-  core::dynamics_params params;
-  params.num_options = static_cast<std::size_t>(flags.get_int64("m"));
-  params.beta = flags.get_double("beta");
-  params.alpha = flags.get_double("alpha");
-  params.mu = flags.get_double("mu");
-  if (params.mu < 0.0) params.mu = core::theory::mu_cap(params.beta);
-  params.validate();
-  return params;
-}
-
-/// The ad-hoc two-level scenario the model flags describe.
-scenario::scenario_spec read_scenario(const flag_set& flags) {
-  scenario::scenario_spec spec;
-  spec.name = "cli";
-  spec.params = read_params(flags);
-  spec.environment.etas =
-      env::two_level_etas(static_cast<std::size_t>(flags.get_int64("m")),
-                          flags.get_double("eta-best"), flags.get_double("eta-rest"));
-  return spec;
-}
-
 void print_estimate(const core::regret_estimate& est, double bound, output_format format) {
   text_table table{{"measure", "value"}};
   table.add_row({"regret", fmt_pm(est.regret.mean, est.regret.half_width)});
@@ -163,12 +121,21 @@ void print_estimate(const core::regret_estimate& est, double bound, output_forma
 
 int cmd_bounds(int argc, const char* const* argv) {
   flag_set flags{"sociolearn_cli bounds", "print the paper's constants"};
-  add_model_flags(flags);
+  flags.add_int64("m", 4, "number of options");
+  flags.add_double("beta", 0.65, "adopt probability on a good signal");
+  flags.add_double("alpha", -1.0, "adopt probability on a bad signal (-1 = 1-beta)");
+  flags.add_double("mu", -1.0, "exploration weight (-1 = delta^2/6)");
   add_format_flag(flags, "table");
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
-  const core::dynamics_params params = read_params(flags);
+  core::dynamics_params params;
+  params.num_options = static_cast<std::size_t>(flags.get_int64("m"));
+  params.beta = flags.get_double("beta");
+  params.alpha = flags.get_double("alpha");
+  params.mu = flags.get_double("mu");
+  if (params.mu < 0.0) params.mu = core::theory::mu_cap(params.beta);
+  params.validate();
   const std::size_t m = params.num_options;
   const double beta = params.beta;
 
@@ -474,6 +441,14 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
+  if (flags.get_int64("horizon") < 0 || flags.get_int64("reps") < 0 ||
+      flags.get_int64("threads") < 0 || flags.get_int64("agents") < -1 ||
+      flags.get_int64("engine-threads") < -1) {
+    std::fprintf(stderr, "--horizon, --reps and --threads must be >= 0; --agents and "
+                         "--engine-threads must be >= -1\n");
+    return 2;
+  }
+  const bool curves = flags.get_bool("curves");
 
   // Base spec, by documented precedence: file < registry < --set.  A
   // registry spec is a complete value, so when --name is given the file
@@ -556,7 +531,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
   config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-  config.collect_curves = flags.get_bool("curves");
   config.reuse = !flags.get_bool("no-reuse");
 
   // Probe selection: --probes > the spec's probes > regret; --curves
@@ -565,7 +539,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
       core::split_probe_specs(flags.get_string("probes"));
   if (probe_specs.empty()) probe_specs = spec.probes;
   if (probe_specs.empty()) probe_specs = {"regret"};
-  if (config.collect_curves) {
+  if (curves) {
     bool have_trajectory = false;
     for (const std::string& p : probe_specs) {
       if (p.rfind("trajectory", 0) == 0) have_trajectory = true;
@@ -585,7 +559,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
   // Per-step curves for several grid points cannot be one flat CSV (no
   // column identifies the run); JSON carries them per document.
-  if (config.collect_curves && format == output_format::csv && grid.size() > 1) {
+  if (curves && format == output_format::csv && grid.size() > 1) {
     std::fprintf(stderr,
                  "--curves with a multi-point sweep needs --format json (one "
                  "document per run); flat CSV cannot label the runs\n");
@@ -625,7 +599,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
     // --curves keeps its historical output shape outside JSON: the per-step
     // CSV, for the table and csv formats alike.
-    if (config.collect_curves && format != output_format::json) {
+    if (curves && format != output_format::json) {
       if (sweeping) {
         std::printf("# run %zu/%zu:", run_index + 1, results.size());
         for (const auto& [key, value] : assignments) {
@@ -634,8 +608,9 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
         std::printf("\n");
       }
       for (const auto& probe : merged) {
-        if (const auto* curves = dynamic_cast<const core::trajectory_probe*>(probe.get())) {
-          print_curves_csv(*curves);
+        if (const auto* trajectory =
+                dynamic_cast<const core::trajectory_probe*>(probe.get())) {
+          print_curves_csv(*trajectory);
         }
       }
       continue;
@@ -729,161 +704,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     json.end_array();
     std::cout << '\n';
   }
-  return 0;
-}
-
-int cmd_simulate(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli simulate", "run one trajectory, CSV to stdout"};
-  add_model_flags(flags);
-  add_format_flag(flags, "csv");
-  flags.add_string("engine", "finite", "finite | aggregate | infinite");
-  flags.add_int64("agents", 1000, "population size N (finite engines)");
-  flags.add_int64("horizon", 200, "steps T");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-  const auto horizon = static_cast<std::uint64_t>(flags.get_int64("horizon"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  const std::string engine_name = flags.get_string("engine");
-
-  scenario::scenario_spec spec = read_scenario(flags);
-  spec.num_agents = static_cast<std::uint64_t>(flags.get_int64("agents"));
-  if (engine_name == "infinite") {
-    spec.engine = scenario::engine_kind::infinite;
-    spec.num_agents = 0;
-  } else if (engine_name == "aggregate") {
-    spec.engine = scenario::engine_kind::aggregate;
-  } else if (engine_name == "finite") {
-    spec.engine = scenario::engine_kind::agent_based;
-  } else {
-    std::fprintf(stderr, "unknown engine '%s' (finite | aggregate | infinite)\n",
-                 engine_name.c_str());
-    return 2;
-  }
-
-  // One loop for every engine: the dynamics_engine interface is the point.
-  const auto engine = scenario::make_engine(spec)();
-  const auto environment = scenario::make_environment(spec.environment)();
-  rng reward_gen = rng::from_stream(seed, 0);
-  rng process_gen = rng::from_stream(seed, 1);
-  std::vector<std::uint8_t> r(spec.params.num_options);
-
-  // The default CSV path streams row by row — a trajectory can be millions
-  // of steps; only the aligned/JSON renderings buffer the table.
-  const bool streaming = format == output_format::csv;
-  std::vector<std::string> header{"t"};
-  for (std::size_t j = 0; j < spec.params.num_options; ++j) {
-    header.push_back("q" + std::to_string(j));
-  }
-  header.emplace_back("group_reward");
-  std::optional<text_table> table;
-  if (streaming) {
-    for (std::size_t c = 0; c < header.size(); ++c) {
-      std::printf("%s%s", c == 0 ? "" : ",", header[c].c_str());
-    }
-    std::printf("\n");
-  } else {
-    table.emplace(header);
-  }
-  for (std::uint64_t t = 1; t <= horizon; ++t) {
-    environment->sample(t, reward_gen, r);
-    engine->step(r, process_gen);
-    const auto q = engine->popularity();
-    double reward = 0.0;
-    for (std::size_t j = 0; j < q.size(); ++j) reward += q[j] * r[j];
-    if (streaming) {
-      std::printf("%llu", static_cast<unsigned long long>(t));
-      for (const double x : q) std::printf(",%.6f", x);
-      std::printf(",%.6f\n", reward);
-      continue;
-    }
-    std::vector<std::string> row{std::to_string(t)};
-    for (const double x : q) row.push_back(fmt(x, 6));
-    row.push_back(fmt(reward, 6));
-    table->add_row(std::move(row));
-  }
-  if (table) emit_table(*table, format);
-  return 0;
-}
-
-int cmd_regret(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli regret", "Monte-Carlo regret estimate"};
-  add_model_flags(flags);
-  add_format_flag(flags, "table");
-  flags.add_int64("agents", 1000, "population size N (0 = infinite dynamics)");
-  flags.add_int64("horizon", 200, "steps T");
-  flags.add_int64("reps", 200, "replications");
-  flags.add_int64("threads", 0, "worker threads (0 = all)");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-
-  scenario::scenario_spec spec = read_scenario(flags);
-  spec.num_agents = static_cast<std::uint64_t>(flags.get_int64("agents"));
-
-  core::run_config config;
-  config.horizon = static_cast<std::uint64_t>(flags.get_int64("horizon"));
-  config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-
-  const core::run_result result = scenario::run(spec, config);
-  print_estimate(result.scalars,
-                 spec.num_agents == 0
-                     ? core::theory::infinite_regret_bound(spec.params.beta)
-                     : core::theory::finite_regret_bound(spec.params.beta),
-                 format);
-  return 0;
-}
-
-int cmd_gossip(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli gossip", "run the sensor-network protocol, CSV out"};
-  add_model_flags(flags);
-  add_format_flag(flags, "csv");
-  flags.add_int64("nodes", 100, "number of nodes");
-  flags.add_int64("rounds", 200, "protocol rounds");
-  flags.add_double("drop", 0.0, "packet loss probability");
-  flags.add_bool("sticky", false, "keep previous choice instead of sitting out");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-
-  protocol::gossip_params gossip;
-  gossip.dynamics = read_params(flags);
-  gossip.sticky = flags.get_bool("sticky");
-  protocol::signal_oracle oracle{
-      env::two_level_etas(static_cast<std::size_t>(flags.get_int64("m")),
-                          flags.get_double("eta-best"), flags.get_double("eta-rest")),
-      static_cast<std::uint64_t>(flags.get_int64("seed")) + 1};
-  protocol::gossip_run_config config;
-  config.num_nodes = static_cast<std::size_t>(flags.get_int64("nodes"));
-  config.rounds = static_cast<std::uint64_t>(flags.get_int64("rounds"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  config.links.drop_probability = flags.get_double("drop");
-
-  const protocol::gossip_run_result result =
-      protocol::run_gossip_experiment(gossip, oracle, config);
-  if (format == output_format::csv) {
-    // Default path streams: a long protocol run should not be buffered as
-    // row strings first.
-    std::printf("round,best_fraction,committed_fraction\n");
-    for (std::size_t t = 0; t < result.best_fraction.size(); ++t) {
-      std::printf("%zu,%.6f,%.6f\n", t + 1, result.best_fraction[t],
-                  result.committed_fraction[t]);
-    }
-  } else {
-    text_table table{{"round", "best_fraction", "committed_fraction"}};
-    for (std::size_t t = 0; t < result.best_fraction.size(); ++t) {
-      table.add_row({std::to_string(t + 1), fmt(result.best_fraction[t], 6),
-                     fmt(result.committed_fraction[t], 6)});
-    }
-    emit_table(table, format);
-  }
-  std::fprintf(stderr, "messages=%llu dropped=%llu bytes=%llu avg_regret=%.4f\n",
-               static_cast<unsigned long long>(result.net.messages_sent),
-               static_cast<unsigned long long>(result.net.messages_dropped),
-               static_cast<unsigned long long>(result.net.bytes_sent()),
-               result.average_regret);
   return 0;
 }
 
@@ -1020,8 +840,10 @@ int cmd_submit(int argc, const char* const* argv) {
     return 2;
   }
   if (flags.get_int64("retries") < 0 || flags.get_int64("retry-base-ms") < 0 ||
-      flags.get_int64("timeout") < 0) {
-    std::fprintf(stderr, "submit: --retries, --retry-base-ms and --timeout must be >= 0\n");
+      flags.get_int64("timeout") < 0 || flags.get_int64("horizon") < 0 ||
+      flags.get_int64("reps") < 0) {
+    std::fprintf(stderr, "submit: --retries, --retry-base-ms, --timeout, --horizon and "
+                         "--reps must be >= 0\n");
     return 2;
   }
 
@@ -1187,13 +1009,9 @@ void print_usage() {
       "subcommands:\n"
       "  bounds     print every theorem constant for given parameters\n"
       "  scenarios  list the named scenarios of the registry\n"
-      "  scenario   run a scenario (--name or --file, --set overrides, --probes)\n"
+      "  scenario   run a scenario (--name or --file, --set overrides, --probes;\n"
+      "             the gossip_* scenarios run the protocol engine)\n"
       "  sweep      same as scenario, one run per --sweep grid point\n"
-      "  simulate   run one trajectory (finite/aggregate/infinite), CSV to stdout\n"
-      "  regret     Monte-Carlo regret estimate with confidence intervals\n"
-      "  gossip     run the gossip protocol standalone, per-round CSV (the\n"
-      "             gossip_* scenarios run it under the full harness with\n"
-      "             probes/sweeps via protocol.* keys)\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
       "             against the protocol invariants; exit 1 on violations\n"
       "  submit     submit a scenario/sweep to a running sociolearnd\n"
@@ -1202,9 +1020,11 @@ void print_usage() {
       "  cancel     cancel a sociolearnd job by id (--socket --job N)\n"
       "  fsck       audit a result store: verify object checksums, find\n"
       "             orphans (--store DIR [--repair]); exit 1 on any finding\n\n"
-      "every subcommand accepts --format table|json|csv; 'scenario' and\n"
-      "'sweep' emit one JSON document per run (spec echo + probe results +\n"
-      "timing; sweeps wrap the documents in one array).\n"
+      "every subcommand but submit/status/cancel accepts --format\n"
+      "table|json|csv; 'scenario' and 'sweep' emit one JSON document per run\n"
+      "(spec echo + probe results + timing; sweeps wrap the documents in one\n"
+      "array).  'scenario --probes regret' is the regret table, '--curves'\n"
+      "the per-step CSV.\n"
       "run 'sociolearn_cli <subcommand> --help' for the flags of each.\n");
 }
 
@@ -1225,9 +1045,6 @@ int main(int argc, char** argv) {
     if (command == "scenario" || command == "sweep") {
       return cmd_scenario(sub_argc, sub_argv, command == "sweep");
     }
-    if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
-    if (command == "regret") return cmd_regret(sub_argc, sub_argv);
-    if (command == "gossip") return cmd_gossip(sub_argc, sub_argv);
     if (command == "check-trace") return cmd_check_trace(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
     if (command == "status" || command == "cancel") {
