@@ -70,17 +70,6 @@ void BM_multinomial_sample(benchmark::State& state) {
 }
 BENCHMARK(BM_multinomial_sample)->Arg(2)->Arg(10)->Arg(100);
 
-void BM_alias_sampler_draw(benchmark::State& state) {
-  rng gen{4};
-  std::vector<double> weights(static_cast<std::size_t>(state.range(0)));
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    weights[j] = static_cast<double>(j + 1);
-  }
-  const discrete_sampler sampler{weights};
-  for (auto _ : state) benchmark::DoNotOptimize(sampler.sample(gen));
-}
-BENCHMARK(BM_alias_sampler_draw)->Arg(10)->Arg(1000);
-
 void BM_infinite_step(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   core::infinite_dynamics dyn{make_params(m)};
@@ -190,8 +179,7 @@ const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
 }
 
 void network_step_benchmark(benchmark::State& state, const std::string& kind,
-                            double beta, std::vector<std::uint8_t> rewards,
-                            core::kernel_kind kernel = core::kernel_kind::auto_select) {
+                            double beta, std::vector<std::uint8_t> rewards) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::graph& g = cached_topology(kind, n);
 
@@ -201,7 +189,6 @@ void network_step_benchmark(benchmark::State& state, const std::string& kind,
   p.beta = beta;
   core::finite_dynamics dyn{p, n};
   dyn.set_topology(&g);
-  dyn.set_kernel(kernel);
 
   rng gen{8};
   for (int t = 0; t < 30; ++t) dyn.step(rewards, gen);  // past the transient
@@ -256,20 +243,6 @@ void BM_network_step_ring_very_sparse(benchmark::State& state) {
 }
 BENCHMARK(BM_network_step_ring_very_sparse)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 
-// Scalar-pinned twins of the headline network steps: the default runs
-// above auto-select the v3 SIMD kernel when the host has one, so the
-// scalar/auto pair in one report is the measured kernel speedup (the
-// "network" name keeps them inside the CI perf-smoke filter).
-void BM_network_step_ring_scalar(benchmark::State& state) {
-  network_step_benchmark(state, "ring", 0.62, {1, 0}, core::kernel_kind::scalar);
-}
-BENCHMARK(BM_network_step_ring_scalar)->Arg(1000000)->Unit(benchmark::kMicrosecond);
-
-void BM_network_step_ba_scalar(benchmark::State& state) {
-  network_step_benchmark(state, "ba", 0.62, {1, 0}, core::kernel_kind::scalar);
-}
-BENCHMARK(BM_network_step_ba_scalar)->Arg(1000000)->Unit(benchmark::kMicrosecond);
-
 // --- graph build -------------------------------------------------------------
 //
 // The set-up cost of every cold network run: generator plus CSR
@@ -295,7 +268,7 @@ BENCHMARK(BM_graph_build_smallworld)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- raw v3 kernels, no engine around them ----------------------------------
+// --- raw step kernels, no engine around them -------------------------------
 //
 // Every agent sees the same small committed-neighbour row, so the working
 // set is the SoA arrays alone: this is the per-agent cost of the sampling

@@ -10,6 +10,30 @@
 #include "support/parallel.h"
 
 namespace sgl::core {
+namespace {
+
+constexpr std::uint64_t k_max = ~std::uint64_t{0};
+
+/// Dense-mode key layout: agent i's d-th draw of a step is
+/// counter_word(S, i << k_dense_key_shift | d) — d = 0 the explore word,
+/// d = 1 the option word, d = 2 + k rejection attempt k.
+constexpr unsigned k_dense_key_shift = 7;
+
+/// High 64 bits of the 128-bit product (the kernels' mulhi64, scalar).
+constexpr std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) noexcept {
+  return static_cast<std::uint64_t>((static_cast<unsigned __int128>(a) * b) >> 64);
+}
+
+/// The kernels' fused stage-2 threshold for a per-agent rule
+/// p = prob_to_u64(α_i or β_i): t_μ·p / 2^64 on the explore branch,
+/// t_μ + (2^64 − t_μ)·p / 2^64 on the copy branch (core/step_kernel.h).
+constexpr std::uint64_t rule_threshold(std::uint64_t t_mu, std::uint64_t p,
+                                       bool explore) noexcept {
+  const std::uint64_t t_not_mu = t_mu == 0 ? k_max : 0 - t_mu;
+  return explore ? mulhi64(t_mu, p) : t_mu + mulhi64(t_not_mu, p);
+}
+
+}  // namespace
 
 finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_agents)
     : params_{params} {
@@ -34,30 +58,14 @@ void finite_dynamics::set_agent_rules(std::vector<adoption_rule> rules) {
           "finite_dynamics::set_agent_rules: need 0 <= alpha <= beta <= 1"};
     }
   }
-  rules_ = std::move(rules);
-  // SoA u64 thresholds for the v3 kernels.  prob_to_u64's endpoint
-  // conventions keep alpha = 0 / beta = 1 rules exact there too.
-  alpha_thr_.resize(rules_.size());
-  beta_thr_.resize(rules_.size());
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    alpha_thr_[i] = prob_to_u64(rules_[i].alpha);
-    beta_thr_[i] = prob_to_u64(rules_[i].beta);
+  // prob_to_u64's endpoint conventions keep alpha = 0 / beta = 1 rules
+  // exact (see rule_threshold and the kernels' p == max test).
+  alpha_thr_.resize(rules.size());
+  beta_thr_.resize(rules.size());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    alpha_thr_[i] = prob_to_u64(rules[i].alpha);
+    beta_thr_[i] = prob_to_u64(rules[i].beta);
   }
-}
-
-void finite_dynamics::set_kernel(kernel_kind kind) {
-  if (kind == kernel_kind::simd && !kernel::vector_isa_available()) {
-    throw std::invalid_argument{
-        "finite_dynamics::set_kernel: kernel=simd but the runtime dispatcher "
-        "resolved no vector ISA on this host (or SGL_KERNEL=scalar is set); "
-        "use kernel=auto or kernel=scalar"};
-  }
-  kernel_ = kind;
-}
-
-bool finite_dynamics::use_vector_kernel() const noexcept {
-  return kernel_ == kernel_kind::simd ||
-         (kernel_ == kernel_kind::auto_select && kernel::vector_isa_available());
 }
 
 void finite_dynamics::set_topology(const graph::graph* topology) {
@@ -141,7 +149,7 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
   }
   if (topology_ != nullptr) {
     step_network(rewards, gen);
-  } else if (rules_.empty()) {
+  } else if (alpha_thr_.empty()) {
     step_batched(rewards, gen);
   } else {
     step_per_agent(rewards, gen);
@@ -186,81 +194,60 @@ void finite_dynamics::step_batched(std::span<const std::uint8_t> rewards, rng& g
 }
 
 void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng& gen) {
-  if (!rules_.empty() && params_.num_options <= 64 && use_vector_kernel()) {
-    step_mixed_vec(rewards, gen);
-    return;
-  }
-  const std::size_t m = params_.num_options;
-
-  // Stage 1 sampler for the fully mixed case: popularity-proportional
-  // (identical in law to "copy a uniformly random adopter").  Rebuilt in
-  // place: allocation-free after the first step.
-  if (m > 1) by_popularity_.rebuild(popularity_);
-
-  std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
-  std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
-
-  const double mu = params_.mu;
-  const adoption_rule homogeneous{params_.resolved_alpha(), params_.beta};
-
-  for (std::size_t i = 0; i < choices_.size(); ++i) {
-    // --- Stage 1: pick an option to consider. ---
-    std::size_t considered;
-    if (m == 1) {
-      considered = 0;
-    } else if (gen.next_bernoulli(mu)) {
-      considered = static_cast<std::size_t>(gen.next_below(m));
-    } else {
-      considered = by_popularity_.sample(gen);
-    }
-    ++stage_counts_[considered];
-
-    // --- Stage 2: adopt or sit out. ---
-    const adoption_rule& rule = rules_.empty() ? homogeneous : rules_[i];
-    const double adopt_p = rewards[considered] != 0 ? rule.beta : rule.alpha;
-    if (gen.next_bernoulli(adopt_p)) {
-      choices_[i] = static_cast<std::int32_t>(considered);
-      ++adopter_counts_[considered];
-    } else {
-      choices_[i] = -1;
-    }
-  }
-
-  adopters_ = 0;
-  for (const std::uint64_t d : adopter_counts_) adopters_ += d;
-}
-
-void finite_dynamics::step_mixed_vec(std::span<const std::uint8_t> rewards, rng& gen) {
   const std::size_t m = params_.num_options;
   const std::size_t n = choices_.size();
 
   // Stage-1 copy branch as a CDF ladder over the previous popularity
   // (uniform after empty steps, so popularity_ is always the right
-  // distribution — same source as by_popularity_ on the scalar path).
+  // distribution).
   pop_cdf_.resize(m - 1);
   double cum = 0.0;
   for (std::size_t j = 0; j + 1 < m; ++j) {
     cum += popularity_[j];
     pop_cdf_[j] = prob_to_u64(cum);
   }
-  std::uint64_t reward_bits = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    reward_bits |= static_cast<std::uint64_t>(rewards[j] != 0) << j;
-  }
   considered_scratch_.resize(n);
+  const std::uint64_t step_seed = gen.next_u64();
+  const std::uint64_t t_mu = prob_to_u64(params_.mu);
 
-  kernel::mixed_args args{};
-  args.step_seed = gen.next_u64();
-  args.n = n;
-  args.m = m;
-  args.t_mu = prob_to_u64(params_.mu);
-  args.pop_cdf = pop_cdf_.data();
-  args.reward_bits = reward_bits;
-  args.alpha_thr = alpha_thr_.data();
-  args.beta_thr = beta_thr_.data();
-  args.choices = choices_.data();
-  args.considered = considered_scratch_.data();
-  kernel::mixed_step()(args);
+  if (m <= 64) {
+    std::uint64_t reward_bits = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      reward_bits |= static_cast<std::uint64_t>(rewards[j] != 0) << j;
+    }
+    kernel::mixed_args args{};
+    args.step_seed = step_seed;
+    args.n = n;
+    args.m = m;
+    args.t_mu = t_mu;
+    args.pop_cdf = pop_cdf_.data();
+    args.reward_bits = reward_bits;
+    args.alpha_thr = alpha_thr_.data();
+    args.beta_thr = beta_thr_.data();
+    args.choices = choices_.data();
+    args.considered = considered_scratch_.data();
+    kernel::mixed_step()(args);
+  } else {
+    // The mixed kernel's formulas, one agent at a time, for option counts
+    // past its 64-bit reward mask.  The rungs are nondecreasing, so the
+    // ladder count #{j : w1 >= pop_cdf[j]} is a binary search.
+    const bool mu_always = t_mu == k_max;
+    const auto m32 = static_cast<std::uint32_t>(m);
+    for (std::size_t g = 0; g < n; ++g) {
+      const std::uint64_t w0 = counter_word(step_seed, 2 * g);
+      const std::uint64_t w1 = counter_word(step_seed, 2 * g + 1);
+      const bool explore = mu_always || w0 < t_mu;
+      const std::size_t considered =
+          explore ? static_cast<std::size_t>(scale_bounded(w1, m32))
+                  : static_cast<std::size_t>(
+                        std::upper_bound(pop_cdf_.begin(), pop_cdf_.end(), w1) -
+                        pop_cdf_.begin());
+      const std::uint64_t p = rewards[considered] != 0 ? beta_thr_[g] : alpha_thr_[g];
+      const bool adopted = p == k_max || w0 < rule_threshold(t_mu, p, explore);
+      choices_[g] = adopted ? static_cast<std::int32_t>(considered) : -1;
+      considered_scratch_[g] = static_cast<std::uint32_t>(considered);
+    }
+  }
 
   std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
   std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
@@ -284,10 +271,11 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   // at the end of every network step, rebuilt on reset/set_topology).
   previous_choices_.swap(choices_);
 
-  // Stream derivation v2 (DESIGN.md): one word of the caller's stream
-  // seeds the step; shard s then draws from its own derived stream.  The
-  // decomposition depends only on N, never on the thread count, so the
-  // trajectory is bit-identical for any parallelism.
+  // Counter-addressed derivation (DESIGN.md): one word S of the caller's
+  // stream seeds the step, and every per-agent draw is counter_word(S, ·)
+  // at a position fixed by the agent index — so the shard decomposition
+  // below is pure work splitting and any thread count gives the same
+  // trajectory bit for bit.
   const std::uint64_t step_seed = gen.next_u64();
   const std::size_t shards = (n + shard_size - 1) / shard_size;
   const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
@@ -307,50 +295,52 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
     }
     changed_.resize(n);
     changed_len_.assign(shards, 0);
-    // Fused stage-2 thresholds (stream derivation v2): the explore word u
-    // is reused for the adoption test.  Conditional on {u < mu} the
-    // rescaled variable u/mu (resp. (u-mu)/(1-mu)) is uniform and
-    // independent of the stage-1 option draw, so "adopt with probability
-    // p" becomes u < mu*p (explore) or u < mu + (1-mu)*p (copy) — one
-    // generator word fewer per agent, same law.
-    adopt_below_explore_.resize(m);
-    adopt_below_copy_.resize(m);
-    if (rules_.empty()) {
-      const double alpha = params_.resolved_alpha();
-      const double mu = params_.mu;
-      for (std::size_t j = 0; j < m; ++j) {
-        const double p = rewards[j] != 0 ? params_.beta : alpha;
-        adopt_below_explore_[j] = mu * p;
-        adopt_below_copy_[j] = mu + (1.0 - mu) * p;
-      }
-    }
   }
 
   const double mu = params_.mu;
-  const adoption_rule homogeneous{params_.resolved_alpha(), params_.beta};
+  const double alpha = params_.resolved_alpha();
+  const std::uint64_t t_mu = prob_to_u64(mu);
+  const bool mu_always = t_mu == k_max;
+  const bool heterogeneous = !alpha_thr_.empty();
+  const auto m32 = static_cast<std::uint32_t>(m);
+  // Stage 2 reuses the explore word w0: conditional on the explore
+  // branch, w0 is uniform below (explore) or above (copy) t_μ and
+  // independent of the option draw, so "adopt with probability p" is one
+  // comparison against a fused threshold — for the homogeneous rule,
+  // prob_to_u64 of μ·p_j (explore) or μ + (1−μ)·p_j (copy).
+  const auto fused_threshold = [&](std::size_t j, bool explore) {
+    const double p = rewards[j] != 0 ? params_.beta : alpha;
+    return prob_to_u64(explore ? mu * p : mu + (1.0 - mu) * p);
+  };
+  // net2's stage-2 test for any option j, on the scalar paths.
+  const auto adopts = [&](std::size_t i, std::size_t j, bool explore,
+                          std::uint64_t w0) {
+    if (heterogeneous) {
+      const std::uint64_t p = rewards[j] != 0 ? beta_thr_[i] : alpha_thr_[i];
+      return p == k_max || w0 < rule_threshold(t_mu, p, explore);
+    }
+    const std::uint64_t thr = fused_threshold(j, explore);
+    return thr == k_max || w0 < thr;
+  };
 
-  if (!network_dense_ && m == 2 && use_vector_kernel()) {
-    // Stream derivation v3: the vectorized kernel over the packed
-    // two-option view.  The per-agent draws are counter-addressed from
-    // step_seed alone, so the shard decomposition below is pure work
-    // splitting — unlike v2 it does not even shape the streams.
+  if (!network_dense_ && m == 2) {
+    // The vectorized kernel over the packed two-option view (the generic
+    // translation unit on hosts without a vector ISA — same bits).
     kernel::net2_args base{};
     base.step_seed = step_seed;
     base.rows = neighbor_view_.data();
     base.previous = previous_choices_.data();
     base.choices = choices_.data();
-    base.t_mu = prob_to_u64(mu);
-    if (rules_.empty()) {
-      const double alpha = params_.resolved_alpha();
-      for (std::size_t j = 0; j < 2; ++j) {
-        const double p = rewards[j] != 0 ? params_.beta : alpha;
-        base.thr_explore[j] = prob_to_u64(mu * p);
-        base.thr_copy[j] = prob_to_u64(mu + (1.0 - mu) * p);
-      }
-    } else {
+    base.t_mu = t_mu;
+    if (heterogeneous) {
       // Reward-selected per-agent thresholds: one SoA array per option.
       base.p_reward0 = rewards[0] != 0 ? beta_thr_.data() : alpha_thr_.data();
       base.p_reward1 = rewards[1] != 0 ? beta_thr_.data() : alpha_thr_.data();
+    } else {
+      for (std::size_t j = 0; j < 2; ++j) {
+        base.thr_explore[j] = fused_threshold(j, true);
+        base.thr_copy[j] = fused_threshold(j, false);
+      }
     }
     const kernel::net2_fn fn = kernel::net2_step();
     parallel_for(
@@ -367,65 +357,39 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
         },
         threads);
   } else if (!network_dense_) {
-    // Sparse mode: exact draw from the incremental committed-neighbour
-    // view.  The loop has a fixed shape — every agent consumes one word
-    // for the fused explore/adopt test plus one bounded draw
-    // (next_below_mul resamples only with probability < bound/2^64) — and
-    // stage 2 is select-based, so the hot path is nearly branch-free.
-    // Changed agents are recorded per shard for the delta pass below.
+    // Sparse mode, m != 2: net2's scalar formulas over m-count view rows.
+    // Agent i reads w0 = counter_word(S, 2i) for the explore test and
+    // stage 2, and w1 = counter_word(S, 2i + 1) for one bounded option
+    // draw — uniform over m (explore, or no committed neighbour) or over
+    // the row's committed-neighbour counts.  Changed agents are recorded
+    // per shard for the delta pass below.
     parallel_for(
         0, shards,
         [&](std::size_t s) {
-          rng shard_gen = rng::from_stream(step_seed, s);
           std::uint64_t* stage = &shard_counts_[s * 2 * m];
           std::uint64_t* adopt = stage + m;
           const std::size_t lo = s * shard_size;
           const std::size_t hi = std::min(n, lo + shard_size);
           std::uint64_t* changed = changed_.data() + lo;
           std::size_t changed_len = 0;
-          const std::size_t row_stride = m == 2 ? 1 : m;
-          const std::uint32_t* row = &neighbor_view_[lo * row_stride];
-          const bool heterogeneous = !rules_.empty();
-          for (std::size_t i = lo; i < hi; ++i, row += row_stride) {
-            // --- Stage 1: explore, or copy a uniform committed neighbour
-            // (uniform option when there is none). ---
-            const double u = shard_gen.next_double();
-            const bool explore = u < mu;
-            std::uint64_t total;
-            std::size_t considered;
-            if (m == 2) {  // the canonical two-option case: packed word
-              const std::uint32_t packed = row[0];
-              const std::uint32_t c0 = packed & 0xFFFFU;
-              total = c0 + (packed >> 16);
-              const bool by_view = !explore && total != 0;
-              const std::uint64_t r = shard_gen.next_below_mul(by_view ? total : 2);
-              considered = by_view ? (r >= c0) : r;
+          const std::uint32_t* row = &neighbor_view_[lo * m];
+          for (std::size_t i = lo; i < hi; ++i, row += m) {
+            const std::uint64_t w0 = counter_word(step_seed, 2 * i);
+            const std::uint64_t w1 = counter_word(step_seed, 2 * i + 1);
+            const bool explore = mu_always || w0 < t_mu;
+            std::uint32_t total = 0;
+            for (std::size_t j = 0; j < m; ++j) total += row[j];
+            const bool by_view = !explore && total != 0;
+            std::uint64_t r = scale_bounded(w1, by_view ? total : m32);
+            std::size_t considered = 0;
+            if (by_view) {
+              while (r >= row[considered]) r -= row[considered++];
             } else {
-              total = 0;
-              for (std::size_t j = 0; j < m; ++j) total += row[j];
-              const bool by_view = !explore && total != 0;
-              std::uint64_t r = shard_gen.next_below_mul(by_view ? total : m);
-              if (by_view) {
-                considered = 0;
-                while (r >= row[considered]) r -= row[considered++];
-              } else {
-                considered = static_cast<std::size_t>(r);
-              }
+              considered = static_cast<std::size_t>(r);
             }
             ++stage[considered];
 
-            // --- Stage 2: adopt or sit out, reusing the explore word
-            // (selects, not branches; see the threshold comment above). ---
-            double threshold;
-            if (heterogeneous) {
-              const double p = rewards[considered] != 0 ? rules_[i].beta
-                                                        : rules_[i].alpha;
-              threshold = explore ? mu * p : mu + (1.0 - mu) * p;
-            } else {
-              threshold = explore ? adopt_below_explore_[considered]
-                                  : adopt_below_copy_[considered];
-            }
-            const bool adopted = u < threshold;
+            const bool adopted = adopts(i, considered, explore, w0);
             const std::int32_t now =
                 adopted ? static_cast<std::int32_t>(considered) : -1;
             const std::int32_t was = previous_choices_[i];
@@ -450,37 +414,33 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
     // uniform neighbour draws — expected O(1/committed-fraction) attempts —
     // with an exact neighbourhood scan once the attempt budget is spent,
     // so the law is still exactly "uniform committed neighbour" with a
-    // uniform-option fallback only when there is none.
+    // uniform-option fallback only when there is none.  Keys follow
+    // k_dense_key_shift: the explore/stage-2 word, the option word (the
+    // uniform draw or the scan's pick — never both), then one word per
+    // rejection attempt.
+    static_assert(2 + rejection_cap <= (1 << k_dense_key_shift));
     parallel_for(
         0, shards,
         [&](std::size_t s) {
-          rng shard_gen = rng::from_stream(step_seed, s);
           std::uint64_t* stage = &shard_counts_[s * 2 * m];
           std::uint64_t* adopt = stage + m;
           const std::size_t lo = s * shard_size;
           const std::size_t hi = std::min(n, lo + shard_size);
           for (std::size_t i = lo; i < hi; ++i) {
-            std::size_t considered;
-            if (m == 1) {
-              considered = 0;
-            } else if (shard_gen.next_bernoulli(mu)) {
-              considered = static_cast<std::size_t>(shard_gen.next_below_mul(m));
-            } else {
-              const std::int32_t copied = sample_committed_neighbor(i, shard_gen);
-              considered = copied >= 0
-                               ? static_cast<std::size_t>(copied)
-                               : static_cast<std::size_t>(shard_gen.next_below_mul(m));
-            }
+            const std::uint64_t key = static_cast<std::uint64_t>(i) << k_dense_key_shift;
+            const std::uint64_t w0 = counter_word(step_seed, key);
+            const std::uint64_t w1 = counter_word(step_seed, key | 1);
+            const bool explore = mu_always || w0 < t_mu;
+            const std::int32_t copied =
+                explore ? -1 : sample_committed_neighbor(i, step_seed, w1);
+            const std::size_t considered =
+                copied >= 0 ? static_cast<std::size_t>(copied)
+                            : static_cast<std::size_t>(scale_bounded(w1, m32));
             ++stage[considered];
 
-            const adoption_rule& rule = rules_.empty() ? homogeneous : rules_[i];
-            const double adopt_p = rewards[considered] != 0 ? rule.beta : rule.alpha;
-            if (shard_gen.next_bernoulli(adopt_p)) {
-              choices_[i] = static_cast<std::int32_t>(considered);
-              ++adopt[considered];
-            } else {
-              choices_[i] = -1;
-            }
+            const bool adopted = adopts(i, considered, explore, w0);
+            choices_[i] = adopted ? static_cast<std::int32_t>(considered) : -1;
+            adopt[considered] += adopted;
           }
         },
         threads);
@@ -571,18 +531,21 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
 /// sampler, or -1 when i has none (isolated vertex / fully sat-out
 /// neighbourhood).
 std::int32_t finite_dynamics::sample_committed_neighbor(std::size_t i,
-                                                        rng& shard_gen) const {
+                                                        std::uint64_t step_seed,
+                                                        std::uint64_t pick) const {
   const auto nbrs = topology_->neighbors(static_cast<graph::graph::vertex>(i));
   if (nbrs.empty()) return -1;
+  const auto degree = static_cast<std::uint32_t>(nbrs.size());
+  const std::uint64_t key = (static_cast<std::uint64_t>(i) << k_dense_key_shift) | 2;
   for (int attempt = 0; attempt < rejection_cap; ++attempt) {
-    const std::int32_t seen =
-        previous_choices_[nbrs[shard_gen.next_below_mul(nbrs.size())]];
+    const std::uint64_t word = counter_word(step_seed, key + attempt);
+    const std::int32_t seen = previous_choices_[nbrs[scale_bounded(word, degree)]];
     if (seen >= 0) return seen;
   }
-  std::uint64_t committed = 0;
+  std::uint32_t committed = 0;
   for (const auto v : nbrs) committed += previous_choices_[v] >= 0;
   if (committed == 0) return -1;
-  std::uint64_t k = shard_gen.next_below_mul(committed);
+  std::uint64_t k = scale_bounded(pick, committed);
   for (const auto v : nbrs) {
     if (previous_choices_[v] < 0) continue;
     if (k == 0) return previous_choices_[v];

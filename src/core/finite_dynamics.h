@@ -17,17 +17,24 @@
 /// agents materialized from the counts.  The batched path consumes the
 /// generator *identically* to aggregate_dynamics, so the two engines
 /// produce bit-identical popularity trajectories from the same stream
-/// (tested).  Heterogeneous rules without a topology fall back to the O(N)
-/// per-agent loop.
+/// (tested).
 ///
-/// Network mode has its own path: an **incremental committed-neighbour
-/// view** — per-vertex, per-option counts of committed neighbours, updated
-/// by delta only for agents whose choice changed between steps — makes
-/// stage 1 an *exact* O(active options) draw from the neighbour-adopter
-/// distribution, and agents step in a fixed shard decomposition with
-/// per-(step, shard) RNG streams, so any thread count produces the same
-/// trajectory bit for bit (DESIGN.md, "stream derivation v2 — network
-/// mode").
+/// Every other path — heterogeneous rules without a topology, and network
+/// mode — steps each agent explicitly from *counter-addressed* draws
+/// (DESIGN.md, "Stream derivation (counter-addressed)"): the step consumes
+/// exactly one word S of the caller's generator, and every per-agent draw
+/// is counter_word(S, ·) at a position fixed by the agent index and the
+/// draw index.  A step is therefore a pure function of (state, S): the
+/// same on every ISA, for every thread count and shard layout.  The
+/// sparse two-option network step and the fully mixed step with m ≤ 64
+/// always run the lane-parallel kernels of core/step_kernel.h (the generic
+/// translation unit when the host has no vector ISA, with the same bits).
+///
+/// Network mode keeps an **incremental committed-neighbour view** —
+/// per-vertex, per-option counts of committed neighbours, updated by delta
+/// only for agents whose choice changed between steps — so stage 1 is an
+/// *exact* O(active options) draw from the neighbour-adopter distribution
+/// on sparse graphs; dense graphs use rejection with an exact scan.
 ///
 /// Semantics pinned down beyond the paper's text (documented in DESIGN.md):
 ///   * If nobody adopted at step t, popularity Q^t is *uniform* (matching
@@ -46,7 +53,6 @@
 #include "core/dynamics_engine.h"
 #include "core/params.h"
 #include "graph/graph.h"
-#include "support/distributions.h"
 #include "support/rng.h"
 
 namespace sgl::core {
@@ -56,19 +62,6 @@ struct adoption_rule {
   double alpha = 0.0;
   double beta = 1.0;
 };
-
-/// Which step kernel finite_dynamics uses on the paths that have a
-/// vectorized implementation (the sparse two-option network step and the
-/// fully mixed heterogeneous per-agent step):
-///   * auto_select — the SIMD kernel (stream derivation v3) when the
-///     runtime dispatcher resolved a vector ISA, else the scalar v2 path;
-///   * scalar — always the scalar v2 path (this is what pins every golden
-///     hash in tests/harness_determinism_test.cpp);
-///   * simd — always the v3 kernel; rejected outright when no vector ISA
-///     is available, so the choice never silently degrades.
-/// Paths without a vector implementation (dense network mode, network rows
-/// with m != 2, m > 64 options) run scalar v2 under every setting.
-enum class kernel_kind { auto_select, scalar, simd };
 
 class finite_dynamics : public dynamics_engine {
  public:
@@ -89,22 +82,11 @@ class finite_dynamics : public dynamics_engine {
   void set_topology(const graph::graph* topology);
 
   /// Worker threads for the sharded network-mode step: 0 = hardware
-  /// concurrency, 1 (the default) = serial.  The shard decomposition and
-  /// the per-shard RNG streams are fixed by (N, step), so the trajectory
-  /// is bit-identical for every setting; threads only change wall-clock
-  /// time.  Ignored outside network mode.
+  /// concurrency, 1 (the default) = serial.  Every draw is addressed by
+  /// agent index, so the trajectory is bit-identical for every setting;
+  /// threads only change wall-clock time.  Ignored outside network mode.
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
-  /// Selects the step kernel (see kernel_kind).  Like set_threads this is
-  /// configuration, surviving reset(); unlike set_threads it changes the
-  /// trajectory — v3 consumes position-addressable counter draws, v2
-  /// sequential stream draws — though both consume exactly one word of the
-  /// *caller's* generator per step, and each is bit-identical across
-  /// thread counts.  Throws std::invalid_argument for kernel_kind::simd
-  /// when the dispatcher resolved no vector ISA.
-  void set_kernel(kernel_kind kind);
-  [[nodiscard]] kernel_kind kernel() const noexcept { return kernel_; }
 
   /// Everybody back to the initial state (no choices, uniform popularity).
   void reset() final;
@@ -149,8 +131,9 @@ class finite_dynamics : public dynamics_engine {
   [[nodiscard]] const dynamics_params& params() const noexcept { return params_; }
 
  private:
-  /// Agents per shard of the fixed network-mode decomposition.  A function
-  /// of N only — never of the thread count — so shard streams are stable.
+  /// Agents per shard of the network-mode work split (and of its
+  /// changed-list and tally scratch).  Pure work splitting: no draw
+  /// depends on it.
   static constexpr std::size_t shard_size = 8192;
 
   /// Average-degree cutoff between the two exact network samplers: at or
@@ -175,18 +158,13 @@ class finite_dynamics : public dynamics_engine {
   /// aggregate_dynamics, agents filled in from the counts.
   void step_batched(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// O(N) per-agent loop: heterogeneous rules, fully mixed (no topology).
+  /// Heterogeneous rules, fully mixed: the counter-addressed per-agent
+  /// step — the mixed kernel for m <= 64, its scalar formulas beyond.
   void step_per_agent(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// Vectorized (derivation v3) replacement for step_per_agent, taken when
-  /// the kernel setting resolves to SIMD and m <= 64.
-  void step_mixed_vec(std::span<const std::uint8_t> rewards, rng& gen);
-
-  /// Does the kernel setting resolve to the v3 kernels on this host?
-  [[nodiscard]] bool use_vector_kernel() const noexcept;
-
-  /// Sharded network-mode step: exact committed-neighbour draws from the
-  /// incremental view, per-(step, shard) RNG streams, delta view update.
+  /// Sharded network-mode step: counter-addressed committed-neighbour
+  /// draws (incremental view, or rejection on dense graphs), delta view
+  /// update.
   void step_network(std::span<const std::uint8_t> rewards, rng& gen);
 
   /// Recomputes the committed-neighbour view from `choices_` (O(E)); used
@@ -201,16 +179,17 @@ class finite_dynamics : public dynamics_engine {
   void apply_view_delta(std::uint64_t entry);
 
   /// Dense-mode stage-1 sampler: the choice of a uniform committed
-  /// neighbour of i, or -1 when there is none.
+  /// neighbour of i, or -1 when there is none.  Attempt k reads
+  /// counter_word(S, 128·i + 2 + k); the exact scan's pick reads `pick`.
   [[nodiscard]] std::int32_t sample_committed_neighbor(std::size_t i,
-                                                       rng& shard_gen) const;
+                                                       std::uint64_t step_seed,
+                                                       std::uint64_t pick) const;
 
   /// Popularity update + empty-step bookkeeping shared by all paths.
   void finish_step();
 
   dynamics_params params_;
   const graph::graph* topology_ = nullptr;
-  std::vector<adoption_rule> rules_;  // empty = homogeneous params_ rule
   std::vector<std::int32_t> choices_;
   std::vector<std::int32_t> previous_choices_;  // network mode reads these
   std::vector<double> popularity_;
@@ -224,24 +203,20 @@ class finite_dynamics : public dynamics_engine {
   std::vector<std::uint64_t> shard_counts_;  // per-shard stage/adopter scratch
   std::vector<std::uint64_t> changed_;       // per-shard packed (i, was, now)
   std::vector<std::uint32_t> changed_len_;   // entries used per shard
-  std::vector<double> adopt_below_explore_;  // fused stage-2 threshold, μ-branch
-  std::vector<double> adopt_below_copy_;     // fused stage-2 threshold, copy branch
   // Bucketed delta walk (scatter graphs, serial, m == 2): per-bucket item
   // streams of v << 4 | transition code.  Kept allocated across steps.
   std::vector<std::vector<std::uint32_t>> delta_buckets_;
-  // SoA u64 adoption thresholds (prob_to_u64 of each rule), built once in
-  // set_agent_rules; the v3 kernels blend contiguous loads from these
-  // instead of gathering adoption_rule structs.
+  // Per-agent rules as SoA u64 adoption thresholds (prob_to_u64 of each
+  // α_i / β_i), built once in set_agent_rules; empty = the homogeneous
+  // params_ rule.  The kernels blend contiguous loads from these.
   std::vector<std::uint64_t> alpha_thr_;
   std::vector<std::uint64_t> beta_thr_;
-  std::vector<std::uint64_t> pop_cdf_;  // v3 mixed kernel: popularity CDF rungs
-  std::vector<std::uint32_t> considered_scratch_;  // v3 mixed kernel stage-1 out
-  discrete_sampler by_popularity_;  // per-agent path: rebuilt per step, no alloc
+  std::vector<std::uint64_t> pop_cdf_;  // per-agent path: popularity CDF rungs
+  std::vector<std::uint32_t> considered_scratch_;  // per-agent path stage-1 out
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;
   unsigned threads_ = 1;
-  kernel_kind kernel_ = kernel_kind::auto_select;
   bool network_dense_ = false;  // topology above the degree threshold
   bool scatter_topology_ = false;  // ≥¼ of edges leave their vertex bucket
 };

@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file step_kernel.h
-/// Vectorized step kernels for finite_dynamics — stream derivation v3.
+/// Vectorized step kernels for finite_dynamics — the lane-parallel half of
+/// the counter-addressed stream derivation (DESIGN.md, "Stream derivation
+/// (counter-addressed)").
 ///
-/// Two hot paths are implemented as lane-parallel kernels (DESIGN.md, "SoA
-/// state layout and stream derivation v3"):
+/// Two hot paths are implemented as lane-parallel kernels:
 ///
 ///   * `net2` — the sparse network step for the canonical two-option case
 ///     (packed committed-neighbour view, one u32 row per vertex), covering
@@ -13,16 +14,15 @@
 ///   * `mixed` — the fully mixed heterogeneous per-agent step (no
 ///     topology), with a CDF-ladder popularity draw for m ≤ 64 options.
 ///
-/// Unlike derivation v2 (sequential per-(step, shard) generator streams),
-/// v3 consumes *position-addressable* draws: one step seed S is drawn from
-/// the caller's stream (exactly one word — the same consumption as v2's
-/// step_network, so callers cannot tell the derivations apart by generator
-/// state), and agent g reads words w0 = counter_word(S, 2g) and
-/// w1 = counter_word(S, 2g+1).  Draws therefore depend only on (S, g):
-/// never on the shard decomposition, the thread count, the lane width, or
-/// whether the agent lands in a vector batch or the scalar remainder loop.
-/// Every ISA variant computes bit-identical results by construction (all
-/// arithmetic is integer-exact; see support/simd.h).
+/// Draws are *position-addressable*: one step seed S is drawn from the
+/// caller's stream (exactly one word), and agent g reads words
+/// w0 = counter_word(S, 2g) and w1 = counter_word(S, 2g+1).  Draws
+/// therefore depend only on (S, g): never on the shard decomposition, the
+/// thread count, the lane width, or whether the agent lands in a vector
+/// batch or the scalar remainder loop.  Every ISA variant computes
+/// bit-identical results by construction (all arithmetic is integer-exact;
+/// see support/simd.h), so finite_dynamics calls these kernels on every
+/// host — the choice of ISA changes speed, never a trajectory.
 ///
 /// All stage-2 thresholds arrive as u64 comparison scales (rng.h,
 /// prob_to_u64).  The endpoint conventions make p = 0 ("never adopt") and
@@ -33,11 +33,9 @@
 /// Dispatch: the four translation units (generic / avx2 / avx512 / neon)
 /// compile one shared implementation under different target flags;
 /// `active_isa()` picks once per process from CPU capability and what was
-/// compiled in.
-/// Setting the environment variable SGL_KERNEL=scalar makes
-/// `vector_isa_available()` report false, which downgrades `kernel = auto`
-/// engines to the scalar v2 path — CI uses this to exercise the fallback
-/// on the same binary.
+/// compiled in.  Setting the environment variable SGL_KERNEL=scalar pins
+/// the generic translation unit — an ISA override that cannot change
+/// results, which CI and ctest use to prove the goldens hold there too.
 
 #include <cstddef>
 #include <cstdint>
@@ -110,13 +108,8 @@ void mixed_step_neon(const mixed_args& args);
 /// The ISA the dispatcher resolved to, decided once per process: the best
 /// of {avx512, avx2, neon} that is both compiled in and supported by the
 /// running CPU, else generic.  SGL_KERNEL=scalar in the environment forces
-/// generic (and thus the scalar-v2 fallback for `kernel = auto` engines).
+/// generic.
 [[nodiscard]] simd::isa active_isa() noexcept;
-
-/// True when active_isa() is a real vector ISA — the condition for
-/// `kernel = auto` to take the v3 path and for `kernel = simd` to be
-/// accepted at all (scenario::validate_spec rejects it otherwise).
-[[nodiscard]] bool vector_isa_available() noexcept;
 
 /// Kernel entry for the active ISA (valid to call under any ISA including
 /// generic — the result is bit-identical everywhere, only speed differs).

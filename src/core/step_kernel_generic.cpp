@@ -1,7 +1,9 @@
 /// \file step_kernel_generic.cpp
 /// The baseline-target build of the shared kernel implementation (always
-/// compiled, whatever the platform), plus the one-time runtime dispatcher —
-/// it lives here because this is the only kernel TU guaranteed to exist.
+/// compiled, whatever the platform) — what every engine runs on a host
+/// without a vector ISA or under SGL_KERNEL=scalar, bit-identical to the
+/// vector builds — plus the one-time runtime dispatcher, which lives here
+/// because this is the only kernel TU guaranteed to exist.
 
 #include "core/step_kernel.h"
 
@@ -17,8 +19,8 @@ void mixed_step_generic(const mixed_args& args) { mixed_body(args); }
 
 simd::isa active_isa() noexcept {
   static const simd::isa resolved = [] {
-    // CI sets SGL_KERNEL=scalar to run the same binary down the scalar-v2
-    // fallback: `kernel = auto` engines see no vector ISA and downgrade.
+    // SGL_KERNEL=scalar runs the same binary on the generic TU — same
+    // results, baseline speed.
     if (const char* env = std::getenv("SGL_KERNEL");
         env != nullptr && std::string_view{env} == "scalar") {
       return simd::isa::generic;
@@ -35,10 +37,6 @@ simd::isa active_isa() noexcept {
     return simd::isa::generic;
   }();
   return resolved;
-}
-
-bool vector_isa_available() noexcept {
-  return active_isa() != simd::isa::generic;
 }
 
 net2_fn net2_step() noexcept {

@@ -96,7 +96,7 @@ constexpr std::uint64_t k_max = ~std::uint64_t{0};
   return t_mu == 0 ? k_max : std::uint64_t{0} - t_mu;
 }
 
-/// Packed changed-list entry, identical to derivation v2's layout:
+/// Packed changed-list entry, the layout finite_dynamics' delta pass reads:
 /// agent | (was+1) << 32 | (now+1) << 48.
 [[nodiscard]] inline std::uint64_t pack_changed(std::size_t i, std::int32_t was,
                                                 std::int32_t now) noexcept {

@@ -150,7 +150,7 @@ std::vector<scenario_spec> build_catalog() {
   }
   {
     // Large-N topology scenarios: the sharded network step (incremental
-    // committed-neighbour view, per-(step, shard) streams) makes these
+    // committed-neighbour view, counter-addressed draws) makes these
     // tractable; engine_threads = 0 puts every core on one replication.
     auto spec = base("network_ring_1e5",
                      "Network-restricted sampling on the cycle C_100000 — "

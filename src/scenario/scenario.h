@@ -151,16 +151,10 @@ struct scenario_spec {
   /// Worker threads for the agent-based engine's sharded network step
   /// (0 = hardware concurrency, 1 = serial).  Trajectories are
   /// bit-identical for every setting (finite_dynamics::set_threads); large-N
-  /// single-replication scenarios set 0 to use the whole machine.
+  /// single-replication scenarios set 0 to use the whole machine.  The
+  /// agent-based engine's draws are counter-addressed, so a run is also
+  /// the same on every host and ISA.
   unsigned engine_threads = 1;
-
-  /// Step kernel for the agent-based engine (key `kernel`): `auto` takes
-  /// the SIMD v3 kernel when the host has a vector ISA, `scalar` pins the
-  /// v2 scalar path (what every golden-hash scenario wants), `simd`
-  /// demands v3 and is rejected by validate_spec on hosts without a
-  /// vector ISA.  Unlike engine_threads this changes the trajectory (v3
-  /// is a different, position-addressable stream derivation).
-  core::kernel_kind engine_kernel = core::kernel_kind::auto_select;
 
   environment_spec environment;
   topology_spec topology;

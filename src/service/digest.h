@@ -20,9 +20,9 @@
 ///   * the canonical spec fields, minus `name`, `description` and
 ///     `engine_threads` (documentation and thread counts never change a
 ///     trajectory), with `engine` pre-resolved (auto_select hashes as what
-///     it resolves to) and `kernel` resolved against the host's vector ISA
-///     — `kernel = auto` means different stream derivations on different
-///     hosts, so the *decision*, not the request, is hashed;
+///     it resolves to).  Nothing about the host is hashed: every engine's
+///     draws are a pure function of the spec and seed on every ISA, so two
+///     hosts agree on every digest;
 ///   * the run shape: horizon, replications, master seed (config.threads
 ///     and config.reuse are excluded — bit-identity makes them free);
 ///   * the resolved probe list, in order (probes never consume RNG, but
@@ -46,12 +46,12 @@
 
 namespace sgl::service {
 
-/// The RNG stream-derivation epoch baked into every digest.  Covers v2
-/// (scalar per-(step, shard) streams) + v3 (counter-based SIMD lanes) +
-/// the protocol engine's per-replication simulation seed.  Any change to
-/// any derivation MUST bump this tag, or stale cached results would be
-/// served as current ones.
-inline constexpr std::string_view k_stream_derivation_id = "v2+v3";
+/// The RNG stream-derivation epoch baked into every digest.  Covers the
+/// agent-based engine's counter-addressed per-agent draws (one derivation
+/// on every path and ISA) + the protocol engine's per-replication
+/// simulation seed.  Any change to any derivation MUST bump this tag, or
+/// stale cached results would be served as current ones.
+inline constexpr std::string_view k_stream_derivation_id = "counter-v1";
 
 /// A 128-bit content address.
 struct digest128 {

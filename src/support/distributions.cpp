@@ -179,50 +179,4 @@ std::size_t sample_categorical(rng& gen, std::span<const double> weights) noexce
   return weights.size() - 1;
 }
 
-void discrete_sampler::rebuild(std::span<const double> weights) {
-  if (weights.empty()) throw std::invalid_argument{"discrete_sampler: empty weights"};
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) {
-      throw std::invalid_argument{"discrete_sampler: weights must be finite and >= 0"};
-    }
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument{"discrete_sampler: weights sum to zero"};
-
-  const std::size_t m = weights.size();
-  normalized_.resize(m);
-  probability_.assign(m, 0.0);
-  alias_.assign(m, 0);
-
-  // Vose's stable alias construction over scaled probabilities m * p_i.
-  scaled_.resize(m);
-  small_.clear();
-  large_.clear();
-  small_.reserve(m);
-  large_.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    normalized_[i] = weights[i] / total;
-    scaled_[i] = normalized_[i] * static_cast<double>(m);
-    (scaled_[i] < 1.0 ? small_ : large_).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small_.empty() && !large_.empty()) {
-    const std::uint32_t s = small_.back();
-    small_.pop_back();
-    const std::uint32_t l = large_.back();
-    large_.pop_back();
-    probability_[s] = scaled_[s];
-    alias_[s] = l;
-    scaled_[l] = (scaled_[l] + scaled_[s]) - 1.0;
-    (scaled_[l] < 1.0 ? small_ : large_).push_back(l);
-  }
-  for (const std::uint32_t i : large_) probability_[i] = 1.0;
-  for (const std::uint32_t i : small_) probability_[i] = 1.0;  // numeric slack
-}
-
-std::size_t discrete_sampler::sample(rng& gen) const noexcept {
-  const std::size_t column = static_cast<std::size_t>(gen.next_below(probability_.size()));
-  return gen.next_double() < probability_[column] ? column : alias_[column];
-}
-
 }  // namespace sgl

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "support/rng.h"
 
@@ -51,45 +50,9 @@ namespace sgl {
 void sample_multinomial(rng& gen, std::uint64_t n, std::span<const double> weights,
                         std::span<std::uint64_t> out);
 
-/// Categorical draw proportional to `weights` (linear scan; use
-/// discrete_sampler for repeated draws from the same weights).
+/// Categorical draw proportional to `weights` (linear scan).
 /// Precondition: weights non-negative with positive sum.
 [[nodiscard]] std::size_t sample_categorical(rng& gen, std::span<const double> weights) noexcept;
-
-/// Walker/Vose alias method: O(m) construction, O(1) per draw from a fixed
-/// discrete distribution.  Used for popularity-proportional sampling in the
-/// agent-based simulator, where every agent draws from the same Q^t.
-class discrete_sampler {
- public:
-  /// An empty sampler; rebuild() before the first draw.
-  discrete_sampler() = default;
-
-  /// Builds the alias table for a distribution proportional to `weights`.
-  /// Throws std::invalid_argument on empty, negative, or all-zero weights.
-  explicit discrete_sampler(std::span<const double> weights) { rebuild(weights); }
-
-  /// Rebuilds the table for new weights, reusing all internal storage —
-  /// allocation-free when the size is unchanged (the simulators rebuild
-  /// once per step from the evolving popularity).  Same validation as the
-  /// constructor.
-  void rebuild(std::span<const double> weights);
-
-  /// Draws one index in [0, size()).  Precondition: size() > 0.
-  [[nodiscard]] std::size_t sample(rng& gen) const noexcept;
-
-  [[nodiscard]] std::size_t size() const noexcept { return probability_.size(); }
-
-  /// The normalized probability of index i (for tests).
-  [[nodiscard]] double probability(std::size_t i) const noexcept { return normalized_[i]; }
-
- private:
-  std::vector<double> probability_;   // acceptance threshold per column
-  std::vector<std::uint32_t> alias_;  // alias index per column
-  std::vector<double> normalized_;    // the input distribution, normalized
-  std::vector<double> scaled_;        // rebuild scratch: m * p_i
-  std::vector<std::uint32_t> small_;  // rebuild worklists
-  std::vector<std::uint32_t> large_;
-};
 
 /// Fisher–Yates shuffle driven by our rng (std::shuffle's draw pattern is
 /// implementation-defined).

@@ -31,11 +31,11 @@ namespace sgl {
 
 /// Counter-based (position-addressable) variant of splitmix64: the word the
 /// sequential generator seeded at `seed` would emit on its (counter+1)-th
-/// call, computed directly from the counter instead of by iterating.  This
-/// is what makes the SIMD step kernels (stream derivation v3, DESIGN.md)
-/// possible: every vector lane evaluates its own counter independently, so
-/// draws have no sequential dependency and the scalar remainder loop can
-/// reproduce any lane's word bit for bit.
+/// call, computed directly from the counter instead of by iterating.  Every
+/// per-agent draw of finite_dynamics is one of these (the counter-addressed
+/// stream derivation, DESIGN.md): a vector lane evaluates its own counter
+/// independently, so draws have no sequential dependency and any scalar
+/// loop reproduces any lane's word bit for bit.
 [[nodiscard]] constexpr std::uint64_t counter_word(std::uint64_t seed,
                                                   std::uint64_t counter) noexcept {
   std::uint64_t z = seed + (counter + 1) * 0x9e3779b97f4a7c15ULL;
@@ -58,7 +58,7 @@ namespace sgl {
 }
 
 /// floor(word · bound / 2^64) via 32-bit halves — the bounded draw of
-/// stream derivation v3.  Equivalent to the high word of the 128-bit
+/// the counter-addressed stream derivation.  Equivalent to the high word of the 128-bit
 /// product (exact for bound < 2^32), i.e. Lemire's multiply-shift without
 /// the rejection step: each value's probability deviates from 1/bound by
 /// less than 2^-64, and the draw always costs exactly one word, which the
@@ -132,27 +132,6 @@ class rng {
     std::uint64_t x = next_u64() & mask;
     while (x >= bound) x = next_u64() & mask;
     return x;
-  }
-
-  /// Uniform integer in [0, bound) without modulo bias, via Lemire's
-  /// multiply-shift rejection: exactly one 64-bit word except with
-  /// probability < bound / 2^64.  Same law as next_below but a different
-  /// consumption pattern — used by the network-mode dynamics (stream
-  /// derivation v2), where the near-constant word count per draw keeps the
-  /// hot loop free of data-dependent rejection loops.  Precondition:
-  /// bound > 0.
-  constexpr std::uint64_t next_below_mul(std::uint64_t bound) noexcept {
-    unsigned __int128 prod =
-        static_cast<unsigned __int128>(next_u64()) * bound;
-    auto low = static_cast<std::uint64_t>(prod);
-    if (low < bound) {  // rare: only then can the draw be biased
-      const std::uint64_t threshold = (0 - bound) % bound;
-      while (low < threshold) {
-        prod = static_cast<unsigned __int128>(next_u64()) * bound;
-        low = static_cast<std::uint64_t>(prod);
-      }
-    }
-    return static_cast<std::uint64_t>(prod >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive.  Precondition: lo <= hi.

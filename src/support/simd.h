@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file simd.h
-/// Lane-parallel portability layer for the vectorized step kernels (stream
-/// derivation v3, DESIGN.md).
+/// Lane-parallel portability layer for the vectorized step kernels (the
+/// counter-addressed stream derivation, DESIGN.md).
 ///
 /// The wrappers are built on the GNU vector extensions rather than on raw
 /// intrinsics: one kernel implementation (core/step_kernel_impl.h) is

@@ -10,11 +10,11 @@
 // the k_stream_derivation_id epoch — and never otherwise.
 //
 // The capture recipe (rerun ONLY on an intentional break, and say so in
-// the commit message): for each registry scenario, pin kernel = scalar,
-// hash with horizon 40 / 2 replications / seed 7 / no probe override, and
-// replace the table.  Kernel is pinned because spec_digest hashes the
-// *resolved* kernel — `auto` digests differently on hosts with and without
-// a vector ISA, by design, and a golden table must not depend on the host.
+// the commit message): hash each registry scenario with horizon 40 /
+// 2 replications / seed 7 / no probe override, and replace the table.
+// Nothing host-dependent is hashed, so the table holds on every host.
+// Last recaptured for the stream tag "counter-v1" (one counter-addressed
+// derivation on every agent-based path; the `kernel` field is gone).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include <string>
 
 #include "core/experiment.h"
-#include "core/finite_dynamics.h"
 #include "scenario/registry.h"
 #include "service/digest.h"
 
@@ -32,36 +31,36 @@ using namespace sgl;
 
 const std::map<std::string, std::string>& golden_digests() {
   static const std::map<std::string, std::string> golden{
-      {"quickstart", "6ebe7d127dca680556f1b4a7ae16d313"},
-      {"theorem-infinite", "a94cda995c17cc035c63bcf4b998462c"},
-      {"theorem-finite", "51b14c31cb69c09b8e7465f45e06fe68"},
-      {"nonuniform-start", "02c6621df8e59007dfc8238fe0229ecb"},
-      {"ef-exclusive", "d0e641bd195138effda525b8348a3b0b"},
-      {"switching-stocks", "a8b9c088ad253a6bc5757fdbdcc1fd79"},
-      {"drifting-crossover", "8f94b5a517c479025bb3eafdefff72fa"},
-      {"ring", "472da8348568330c1627a59d1549b1c8"},
-      {"small-world", "9d751249a9944f02eec1e58ee3fdb0b2"},
-      {"two-cliques", "6b468df41ae647149fd336516f164c89"},
-      {"torus", "49c7a88bb3723faa8b8b00be078b8949"},
-      {"network_ring_1e5", "9c293ea365eb506aafde05bc0d324704"},
-      {"network_ba_1e6", "83f3d26d359a26da4051905a81e7eb4e"},
-      {"network_smallworld_1e6", "b57a72e48b965a3d677735898e1da8ea"},
+      {"quickstart", "6dfbd2540abb1edc0bf6e24de0318945"},
+      {"theorem-infinite", "ef7caaa39a715dee59855658147e24a6"},
+      {"theorem-finite", "c65b31f09f0a968d419d6b70511fa1ee"},
+      {"nonuniform-start", "c2b11f4451f886bda89dcd8e40e89391"},
+      {"ef-exclusive", "ebf1ad4b77f1c5ebb5f7f391b5339771"},
+      {"switching-stocks", "f5d1708191f4a8f2c92e8902672064cf"},
+      {"drifting-crossover", "2b316f98e1dd4912da6604e950283874"},
+      {"ring", "b56271f9823fe985990b93a1f589d46e"},
+      {"small-world", "29e69d8890675e9b51c37373b0f097fc"},
+      {"two-cliques", "7c3b9cf8e97225284c464a2ace9983e3"},
+      {"torus", "1d66e78bfdaebbf0ec6483ee857f30cb"},
+      {"network_ring_1e5", "15e5651baa37dd595acb9f92179a31f6"},
+      {"network_ba_1e6", "a5ad5e7f40ab707d72d8503c7c836a40"},
+      {"network_smallworld_1e6", "f47d0a8030e2f76c01e2b1b33c77d7d4"},
       // Same fields as theorem-finite under another name: names are
       // documentation, so the digests MUST collide — the cache reuses the
       // result.
-      {"mixed_baseline", "51b14c31cb69c09b8e7465f45e06fe68"},
-      {"switching_recovery", "ef0c8ee284ced0890eee935911087da3"},
-      {"two_cliques_consensus", "198c87709c34c0f7ae57f3880f7425c6"},
-      {"drift_tracking_1e5", "9870cc78b261a2a08d2b53db829e8cc7"},
-      {"gossip_sensor_1e4", "3739b11891ea728db72b4328dc3726e7"},
-      {"gossip_lossy_sweep", "16029f113a2c6985cf62031c6e82e0dc"},
-      {"gossip_crash_recovery", "2eb7a2820f0a3a58e10674cd444f3f0d"},
-      {"gossip_ring_300", "7fed6872bb70d9f04caa0b783b92a18d"},
-      {"gossip_sync_ideal", "66f10c65c7cd745c42cab3696848bdc3"},
-      {"gossip_partition_heal", "7bd623a16b89c3efb26b433ff2ad1d81"},
-      {"gossip_crash_waves", "32cf4481143cb4d291897c1c6730466b"},
-      {"gossip_degraded_links", "46038315014415646d105eec0aa8af0a"},
-      {"mixture-discernment", "5cbf7f1f68a5cab57bef20abaa2971cb"},
+      {"mixed_baseline", "c65b31f09f0a968d419d6b70511fa1ee"},
+      {"switching_recovery", "1fe8e9a6cf57bb749303404c305e7f91"},
+      {"two_cliques_consensus", "f6d8a0d2c232216a42c8b8c2923ba614"},
+      {"drift_tracking_1e5", "9da30669ee130ce11d966db31c86429d"},
+      {"gossip_sensor_1e4", "9bef1ac63fa860bd2e06dae176afc8dd"},
+      {"gossip_lossy_sweep", "145875b35c81e1ccf8bdd81755ae8aaa"},
+      {"gossip_crash_recovery", "6185255bb3e4adc1f804321f08b48607"},
+      {"gossip_ring_300", "89cc5cb24889ddd02678c1fdb2781137"},
+      {"gossip_sync_ideal", "4173236d3150af34024e74c91999968d"},
+      {"gossip_partition_heal", "de7b7c533dc3492a5dd19c6dd97ca047"},
+      {"gossip_crash_waves", "1c1fc3bd7d7115c55eba84459f95318d"},
+      {"gossip_degraded_links", "34800af59ef1821f7364251360d48aa0"},
+      {"mixture-discernment", "366cf990435e9bbae4097227ff11e1dd"},
   };
   return golden;
 }
@@ -78,14 +77,13 @@ TEST(digest_golden, every_registry_scenario_is_pinned) {
   const auto& golden = golden_digests();
   std::size_t covered = 0;
   const std::vector<std::string> no_probes;
-  for (auto spec : scenario::all_scenarios()) {
+  for (const auto& spec : scenario::all_scenarios()) {
     const auto it = golden.find(spec.name);
     ASSERT_NE(it, golden.end())
         << "scenario '" << spec.name
         << "' has no golden digest; extend the table (capture recipe in "
            "this file's header)";
     ++covered;
-    spec.engine_kernel = core::kernel_kind::scalar;
     EXPECT_EQ(service::spec_digest(spec, capture_config(), no_probes).hex(),
               it->second)
         << "digest moved for scenario '" << spec.name

@@ -239,45 +239,6 @@ TEST(categorical_sampler, skips_zero_weights) {
   for (int i = 0; i < 200; ++i) EXPECT_EQ(sample_categorical(gen, w), 1U);
 }
 
-// --- discrete_sampler (alias) ------------------------------------------------------
-
-TEST(discrete_sampler, normalizes_probabilities) {
-  const std::vector<double> w{2.0, 6.0};
-  const discrete_sampler sampler{w};
-  EXPECT_NEAR(sampler.probability(0), 0.25, 1e-12);
-  EXPECT_NEAR(sampler.probability(1), 0.75, 1e-12);
-  EXPECT_EQ(sampler.size(), 2U);
-}
-
-TEST(discrete_sampler, chi_square_fit) {
-  rng gen{18};
-  const std::vector<double> w{0.05, 0.15, 0.45, 0.05, 0.30};
-  const discrete_sampler sampler{w};
-  std::vector<std::uint64_t> counts(w.size(), 0);
-  constexpr int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[sampler.sample(gen)];
-  EXPECT_GT(chi_square_test(counts, w).p_value, k_reject_level);
-}
-
-TEST(discrete_sampler, handles_zero_weight_entries) {
-  rng gen{19};
-  const std::vector<double> w{0.0, 0.0, 1.0, 0.0};
-  const discrete_sampler sampler{w};
-  for (int i = 0; i < 500; ++i) EXPECT_EQ(sampler.sample(gen), 2U);
-}
-
-TEST(discrete_sampler, single_entry) {
-  rng gen{20};
-  const discrete_sampler sampler{std::vector<double>{5.0}};
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(sampler.sample(gen), 0U);
-}
-
-TEST(discrete_sampler, rejects_bad_weights) {
-  EXPECT_THROW((discrete_sampler{std::vector<double>{}}), std::invalid_argument);
-  EXPECT_THROW((discrete_sampler{std::vector<double>{-1.0, 1.0}}), std::invalid_argument);
-  EXPECT_THROW((discrete_sampler{std::vector<double>{0.0, 0.0}}), std::invalid_argument);
-}
-
 // --- gamma / beta ----------------------------------------------------------------
 
 TEST(gamma_sampler, moments_shape_above_one) {

@@ -20,6 +20,14 @@
 // dump_reports() with fnv1a(), and replace the table — ideally with a
 // binary built from the commit *before* the behavioural change, so the
 // table keeps pinning the old outputs unless the break is deliberate.
+//
+// The one deliberate break so far: every agent-based path moved to the
+// counter-addressed stream derivation (DESIGN.md).  Only the agent-based
+// specs with a topology moved.  The sparse two-option ones (ring,
+// small-world, torus, network_*) now hash to what the earlier
+// `kernel = "simd"` path produced; the dense two-cliques ones took the
+// keyed rejection sampler.  ctest runs this binary a second time under
+// SGL_KERNEL=scalar, so every hash here also pins the generic kernel TU.
 
 #include <gtest/gtest.h>
 
@@ -51,11 +59,6 @@ using namespace sgl;
 
 scenario::scenario_spec shrink(scenario::scenario_spec spec) {
   if (spec.num_agents > 2000) spec.num_agents = 2000;
-  // The golden hashes pin the scalar v2 stream derivation; kernel = auto
-  // would pick the v3 SIMD kernel (a different trajectory) on hosts with a
-  // vector ISA.  v3's own laws are tested in kernel_property_test /
-  // kernel_law_test.
-  spec.engine_kernel = core::kernel_kind::scalar;
   return spec;
 }
 
@@ -104,9 +107,10 @@ std::uint64_t fnv1a(const std::string& text) {
 }
 
 // Captured from the harness as of PR 3 (horizon 40, 2 replications,
-// seed 7, each scenario's default probes, num_agents capped at 2000).
-// Any change here is a break in bit-compatibility with every experiment
-// recorded before PR 4.
+// seed 7, each scenario's default probes, num_agents capped at 2000);
+// the topology entries re-pinned for the counter-addressed derivation.
+// Any change here is a break in bit-compatibility with every recorded
+// experiment.
 const std::map<std::string, std::uint64_t>& golden_hashes() {
   static const std::map<std::string, std::uint64_t> golden{
       {"quickstart", 0xc3608dc104f28a7aULL},
@@ -116,13 +120,13 @@ const std::map<std::string, std::uint64_t>& golden_hashes() {
       {"ef-exclusive", 0xd7acf835755c47bbULL},
       {"switching-stocks", 0x9fa0f457cc2a5afcULL},
       {"drifting-crossover", 0x066502c44bdda652ULL},
-      {"ring", 0x737109d56b618d57ULL},
-      {"small-world", 0x7fed3ab830745098ULL},
-      {"two-cliques", 0x9911e150972b1389ULL},
-      {"torus", 0xa813d762f4d0e746ULL},
-      {"network_ring_1e5", 0x4eafe1226b9d8fd1ULL},
-      {"network_ba_1e6", 0xd0ad9d6c92dd9b1fULL},
-      {"network_smallworld_1e6", 0x6aa90ffc580faf9aULL},
+      {"ring", 0xda1f1fca42bd2e71ULL},
+      {"small-world", 0x41fed4e373f8ba29ULL},
+      {"two-cliques", 0xf61404443952d284ULL},
+      {"torus", 0xe91fbe8fef142060ULL},
+      {"network_ring_1e5", 0x1b436d2350c190d9ULL},
+      {"network_ba_1e6", 0x708c0ff7c29e024cULL},
+      {"network_smallworld_1e6", 0x74f21c2de623aff0ULL},
       // Protocol scenarios (captured at their introduction, same recipe;
       // pinned for threads 1/4 x reuse on/off like every other entry).
       {"gossip_sensor_1e4", 0x9da69ff016826b51ULL},
@@ -139,7 +143,7 @@ const std::map<std::string, std::uint64_t>& golden_hashes() {
       {"gossip_degraded_links", 0xc08c536a76a814d6ULL},
       {"mixed_baseline", 0x6fb83e153d3361a3ULL},
       {"switching_recovery", 0x4f7edc6c417486e9ULL},
-      {"two_cliques_consensus", 0x8f5a35a4ee114aa2ULL},
+      {"two_cliques_consensus", 0xe709a8c56c5e19a9ULL},
       {"drift_tracking_1e5", 0x42f49b5ffa3a4f71ULL},
       {"mixture-discernment", 0x1111f9065abc8130ULL},
   };
@@ -179,6 +183,71 @@ TEST(harness_golden, registry_bit_identical_across_threads_and_reuse) {
   }
   // The table must shrink when scenarios are retired, too.
   EXPECT_EQ(covered, golden.size());
+}
+
+// --- paths no registry scenario reaches --------------------------------------
+
+/// Agent-based specs for the finite_dynamics paths the registry leaves
+/// out (every registry network spec has m = 2 and no per-agent rules):
+/// the scalar sparse path (m = 3 view rows), the keyed dense rejection
+/// sampler with per-agent rules, and the fully mixed per-agent step on
+/// the mixed kernel (m = 3) and past its 64-option limit (m = 70).
+std::map<std::string, scenario::scenario_spec> counter_path_specs() {
+  const auto base = [](std::size_t m, std::uint64_t n) {
+    scenario::scenario_spec spec;
+    spec.engine = scenario::engine_kind::agent_based;
+    spec.num_agents = n;
+    spec.params.num_options = m;
+    spec.params.mu = 0.05;
+    spec.params.beta = 0.7;
+    spec.environment.etas.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      spec.environment.etas[j] = 0.8 - 0.6 * static_cast<double>(j) / static_cast<double>(m);
+    }
+    return spec;
+  };
+  const auto with_rules = [](scenario::scenario_spec spec) {
+    spec.agent_rules.resize(spec.num_agents);
+    for (std::size_t i = 0; i < spec.agent_rules.size(); ++i) {
+      spec.agent_rules[i] = {0.05 + 0.1 * static_cast<double>(i % 3),
+                             0.6 + 0.1 * static_cast<double>(i % 4)};
+    }
+    return spec;
+  };
+  std::map<std::string, scenario::scenario_spec> specs;
+  specs["sparse_ring_m3"] = base(3, 300);
+  specs["sparse_ring_m3"].topology.family = scenario::topology_spec::family_kind::ring;
+  specs["dense_k60_rules"] = with_rules(base(2, 60));
+  specs["dense_k60_rules"].topology.family = scenario::topology_spec::family_kind::complete;
+  specs["mixed_rules_m3"] = with_rules(base(3, 250));
+  specs["mixed_rules_m70"] = with_rules(base(70, 250));
+  return specs;
+}
+
+TEST(harness_golden, counter_paths_without_a_registry_scenario) {
+  // Captured when these paths moved to the counter-addressed derivation
+  // (same recipe as the registry table: horizon 40, 2 replications,
+  // seed 7, the regret probe).
+  const std::map<std::string, std::uint64_t> golden{
+      {"sparse_ring_m3", 0x68e0bce216c55132ULL},
+      {"dense_k60_rules", 0x824a3058c1ce9e09ULL},
+      {"mixed_rules_m3", 0x0569aeb6c85d3ac3ULL},
+      {"mixed_rules_m70", 0x3f6ebe05fd81a4b4ULL},
+  };
+  const auto specs = counter_path_specs();
+  ASSERT_EQ(specs.size(), golden.size());
+  for (const auto& [name, spec] : specs) {
+    ASSERT_EQ(scenario::validate_spec_error(spec), "") << name;
+    for (const unsigned threads : {1U, 4U}) {
+      for (const bool reuse : {true, false}) {
+        const core::probe_list merged =
+            scenario::run_probes(spec, golden_config(threads, reuse));
+        EXPECT_EQ(fnv1a(dump_reports(merged)), golden.at(name))
+            << "'" << name << "' with threads=" << threads << " reuse=" << reuse
+            << " hashes to 0x" << std::hex << fnv1a(dump_reports(merged));
+      }
+    }
+  }
 }
 
 // --- the reset()-reuse law ---------------------------------------------------

@@ -1,30 +1,29 @@
-// Statistical laws of stream derivation v3 (the SIMD step kernels).
-// Labelled `statistical`, NOT `tier1` — same contract as
-// protocol_law_test.cpp: fully seeded and reproducible, run by plain
-// `ctest` and the dedicated statistical CI job, not by the blocking gate.
+// Statistical laws of the counter-addressed stream derivation (every
+// per-agent path of finite_dynamics, SIMD kernels included).  Labelled
+// `statistical`, NOT `tier1` — same contract as protocol_law_test.cpp:
+// fully seeded and reproducible, run by plain `ctest` and the dedicated
+// statistical CI job, not by the blocking gate.
 //
-// v3 draws per-agent words from a counter-based splitmix64 stream instead
-// of v2's sequential per-shard streams, so scalar-vs-SIMD equality cannot
-// be checked bit for bit — the two derivations are *different* exact
-// samplers of the *same* law.  These tests pin the law:
+// The derivation draws per-agent words from a counter-based splitmix64
+// stream, so it cannot be checked bit for bit against a sequential
+// sampler — it is a *different* exact sampler of the *same* law.  These
+// tests pin the law, one path at a time, on every host (the kernels run
+// on the generic translation unit where there is no vector ISA):
 //
 //   1. exact one-step category probabilities from the all-uncommitted
 //      start, pooled over replications, verified by chi-square — on the
-//      sparse network path (the vectorized net2 kernel), the dense network
-//      path (scalar under every kernel setting, so `kernel = simd` must
-//      not corrupt it), and the fully mixed heterogeneous path (the mixed
-//      kernel);
+//      sparse network path (the net2 kernel), the dense network path (the
+//      keyed rejection sampler), and the fully mixed heterogeneous path
+//      at m = 3 (the mixed kernel) and m = 70 (its scalar formulas past
+//      the kernel's 64-option limit);
 //   2. an exact stage-1 chi-square *from a committed configuration*,
 //      driving the net2 kernel directly with a crafted committed-neighbour
 //      view (every agent sees 3 committed neighbours on option 0, 1 on
 //      option 1), where the consideration law μ/2 + (1−μ)·c_j/(c_0+c_1)
 //      is in closed form;
-//   3. a multi-round 4.5σ comparison of scalar-v2 and SIMD-v3 engines on
-//      final best-option popularity and adopter counts over a ring — the
-//      law-equivalence statement that lets `kernel = auto` pick either.
-//
-// Every SIMD leg skips when the dispatcher resolved no vector ISA (e.g.
-// under SGL_KERNEL=scalar), keeping the file meaningful on any host.
+//   3. a multi-round 4.5σ comparison of the engine and the sequential
+//      naive_reference sampler on final best-option popularity and
+//      adopter counts over a ring.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +36,7 @@
 #include "core/params.h"
 #include "core/step_kernel.h"
 #include "graph/graph.h"
+#include "naive_reference.h"
 #include "support/gof.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -62,7 +62,6 @@ core::dynamics_params make_params(std::size_t m, double mu, double beta,
 /// the chi-square result over `replications` i.i.d. populations.
 sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
                                              const graph::graph* topology,
-                                             core::kernel_kind kind,
                                              std::uint64_t seed) {
   const core::dynamics_params& params = prototype.params();
   const std::size_t m = params.num_options;
@@ -74,7 +73,6 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
 
   std::vector<std::uint64_t> observed(m + 1, 0);
   prototype.set_topology(topology);
-  prototype.set_kernel(kind);
   for (int r = 0; r < replications; ++r) {
     prototype.reset();
     rng gen = rng::from_stream(seed, static_cast<std::uint64_t>(r));
@@ -99,39 +97,44 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
   return sgl::chi_square_test(observed, expected);
 }
 
-TEST(kernel_law, network_sparse_one_step_chi_square_simd) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, network_sparse_one_step_chi_square) {
   const std::size_t n = 500;
   const graph::graph g = graph::graph::ring(n);
   const auto result =
       one_step_adoption_chi_square(core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n},
-                                   &g, core::kernel_kind::simd, 101);
+                                   &g, 101);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
-TEST(kernel_law, network_dense_one_step_chi_square_under_simd_setting) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, network_dense_one_step_chi_square) {
   // K_60's average degree (59) is over dense_degree_threshold, so the
-  // engine runs the rejection sampler — scalar under every kernel setting.
-  // `kernel = simd` must leave its law untouched.
+  // engine runs the rejection sampler keyed by (step, agent, attempt).
   const std::size_t n = 60;
   const graph::graph g = graph::graph::complete(n);
   const auto result =
       one_step_adoption_chi_square(core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n},
-                                   &g, core::kernel_kind::simd, 202);
+                                   &g, 202);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
-TEST(kernel_law, mixed_one_step_chi_square_simd) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, mixed_one_step_chi_square) {
   // Identical per-agent rules keep the agents i.i.d. (multinomial pooled
   // counts) while the non-empty rule vector forces the per-agent path —
-  // which is the mixed v3 kernel under `kernel = simd`.
+  // the mixed kernel.
   const std::size_t n = 400;
   core::finite_dynamics dyn{make_params(3, 0.1, 0.7, 0.3), n};
   dyn.set_agent_rules(std::vector<core::adoption_rule>(n, {0.3, 0.7}));
-  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr,
-                                                   core::kernel_kind::simd, 303);
+  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr, 303);
+  EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
+}
+
+TEST(kernel_law, mixed_one_step_chi_square_past_kernel_options) {
+  // m = 70 exceeds the mixed kernel's 64-bit reward mask: the per-agent
+  // step runs the kernel's formulas one agent at a time.
+  const std::size_t n = 400;
+  core::finite_dynamics dyn{make_params(70, 0.1, 0.7, 0.3), n};
+  dyn.set_agent_rules(std::vector<core::adoption_rule>(n, {0.3, 0.7}));
+  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr, 404);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
@@ -142,8 +145,7 @@ TEST(kernel_law, net2_stage1_chi_square_from_committed_view) {
   // probability μ/2 + (1−μ)·3/4 for every agent independently — the
   // pooled stage tallies are binomial.  This is the configuration-
   // dependent half of the stage-1 law, which the from-scratch tests above
-  // (uniform consideration) cannot see.  Runs under every ISA including
-  // generic: the law, unlike the bits, is derivation-v3's own.
+  // (uniform consideration) cannot see.
   constexpr std::size_t n = 1000;
   constexpr int replications = 300;
   constexpr double mu = 0.1;
@@ -185,11 +187,10 @@ TEST(kernel_law, net2_stage1_chi_square_from_committed_view) {
       << n * replications << " pooled stage-1 draws";
 }
 
-TEST(kernel_law, multi_round_scalar_vs_simd_within_sigma) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
-  // The equivalence that justifies `kernel = auto`: over a ring, from
-  // independent streams, the v2-scalar and v3-SIMD engines agree on final
-  // best-option popularity and total adopters to within 4.5σ.
+TEST(kernel_law, multi_round_engine_vs_naive_reference_within_sigma) {
+  // Over a ring, from independent streams, the engine (net2 kernel) and
+  // the sequential naive_reference sampler agree on final best-option
+  // popularity and total adopters to within 4.5σ.
   constexpr std::size_t n = 300;
   constexpr int replications = 250;
   constexpr int horizon = 25;
@@ -197,45 +198,41 @@ TEST(kernel_law, multi_round_scalar_vs_simd_within_sigma) {
   const graph::graph g = graph::graph::ring(n);
   const core::dynamics_params params = make_params(2, 0.08, 0.7, 0.3);
 
-  sgl::running_stats scalar_pop, scalar_adopt, simd_pop, simd_adopt;
+  sgl::running_stats engine_pop, engine_adopt, reference_pop, reference_adopt;
   std::vector<std::uint8_t> rewards(2);
-  core::finite_dynamics scalar_dyn{params, n};
-  scalar_dyn.set_topology(&g);
-  scalar_dyn.set_kernel(core::kernel_kind::scalar);
-  core::finite_dynamics simd_dyn{params, n};
-  simd_dyn.set_topology(&g);
-  simd_dyn.set_kernel(core::kernel_kind::simd);
+  core::finite_dynamics engine{params, n};
+  engine.set_topology(&g);
 
   for (int r = 0; r < replications; ++r) {
-    scalar_dyn.reset();
-    simd_dyn.reset();
-    rng scalar_gen = rng::from_stream(31, static_cast<std::uint64_t>(r));
-    rng simd_gen = rng::from_stream(32, static_cast<std::uint64_t>(r));
-    rng scalar_env = rng::from_stream(33, static_cast<std::uint64_t>(r));
-    rng simd_env = rng::from_stream(34, static_cast<std::uint64_t>(r));
+    engine.reset();
+    test::naive_reference reference{g, 2, params.mu, params.alpha, params.beta};
+    rng engine_gen = rng::from_stream(31, static_cast<std::uint64_t>(r));
+    rng reference_gen = rng::from_stream(32, static_cast<std::uint64_t>(r));
+    rng engine_env = rng::from_stream(33, static_cast<std::uint64_t>(r));
+    rng reference_env = rng::from_stream(34, static_cast<std::uint64_t>(r));
     for (int t = 0; t < horizon; ++t) {
       for (std::size_t j = 0; j < 2; ++j) {
-        rewards[j] = scalar_env.next_bernoulli(etas[j]) ? 1 : 0;
+        rewards[j] = engine_env.next_bernoulli(etas[j]) ? 1 : 0;
       }
-      scalar_dyn.step(rewards, scalar_gen);
+      engine.step(rewards, engine_gen);
       for (std::size_t j = 0; j < 2; ++j) {
-        rewards[j] = simd_env.next_bernoulli(etas[j]) ? 1 : 0;
+        rewards[j] = reference_env.next_bernoulli(etas[j]) ? 1 : 0;
       }
-      simd_dyn.step(rewards, simd_gen);
+      reference.step(rewards, reference_gen);
     }
-    scalar_pop.add(scalar_dyn.popularity()[0]);
-    scalar_adopt.add(static_cast<double>(scalar_dyn.adopters()));
-    simd_pop.add(simd_dyn.popularity()[0]);
-    simd_adopt.add(static_cast<double>(simd_dyn.adopters()));
+    engine_pop.add(engine.popularity()[0]);
+    engine_adopt.add(static_cast<double>(engine.adopters()));
+    reference_pop.add(reference.popularity0());
+    reference_adopt.add(static_cast<double>(reference.adopters()));
   }
 
   const double pop_tolerance =
-      4.5 * std::sqrt((scalar_pop.variance() + simd_pop.variance()) / replications);
+      4.5 * std::sqrt((engine_pop.variance() + reference_pop.variance()) / replications);
   const double adopt_tolerance =
-      4.5 * std::sqrt((scalar_adopt.variance() + simd_adopt.variance()) /
+      4.5 * std::sqrt((engine_adopt.variance() + reference_adopt.variance()) /
                       replications);
-  EXPECT_NEAR(scalar_pop.mean(), simd_pop.mean(), pop_tolerance);
-  EXPECT_NEAR(scalar_adopt.mean(), simd_adopt.mean(), adopt_tolerance);
+  EXPECT_NEAR(engine_pop.mean(), reference_pop.mean(), pop_tolerance);
+  EXPECT_NEAR(engine_adopt.mean(), reference_adopt.mean(), adopt_tolerance);
 }
 
 }  // namespace

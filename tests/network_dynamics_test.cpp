@@ -19,11 +19,14 @@
 
 #include "core/params.h"
 #include "graph/graph.h"
+#include "naive_reference.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
 namespace sgl::core {
 namespace {
+
+using test::naive_reference;
 
 dynamics_params make_params(std::size_t m, double mu, double beta, double alpha = -1.0) {
   dynamics_params p;
@@ -123,74 +126,15 @@ TEST(network_dynamics, stage_one_law_exact_dense_mode) {
   check_stage_one_law(dyn, g, 2, 0.1, rewards);
 }
 
-/// Straight-line reference implementation of the network step: collect the
-/// committed neighbours, pick one uniformly.  Different RNG consumption, so
-/// the comparison with the engine is statistical, not bitwise.
-class naive_reference {
- public:
-  naive_reference(const graph::graph& g, std::size_t m, double mu, double alpha,
-                  double beta)
-      : g_{g}, m_{m}, mu_{mu}, alpha_{alpha}, beta_{beta},
-        choices_(g.num_vertices(), -1), previous_(g.num_vertices(), -1),
-        adopter_counts_(m, 0) {}
-
-  void step(std::span<const std::uint8_t> rewards, rng& gen) {
-    previous_ = choices_;
-    std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
-    std::vector<std::int32_t> committed;
-    for (std::size_t i = 0; i < choices_.size(); ++i) {
-      std::size_t considered;
-      if (gen.next_bernoulli(mu_)) {
-        considered = static_cast<std::size_t>(gen.next_below(m_));
-      } else {
-        committed.clear();
-        for (const auto v : g_.neighbors(static_cast<graph::graph::vertex>(i))) {
-          if (previous_[v] >= 0) committed.push_back(previous_[v]);
-        }
-        considered = committed.empty()
-                         ? static_cast<std::size_t>(gen.next_below(m_))
-                         : static_cast<std::size_t>(
-                               committed[gen.next_below(committed.size())]);
-      }
-      const double adopt_p = rewards[considered] != 0 ? beta_ : alpha_;
-      if (gen.next_bernoulli(adopt_p)) {
-        choices_[i] = static_cast<std::int32_t>(considered);
-        ++adopter_counts_[considered];
-      } else {
-        choices_[i] = -1;
-      }
-    }
-  }
-
-  [[nodiscard]] double popularity0() const {
-    const std::uint64_t total =
-        std::accumulate(adopter_counts_.begin(), adopter_counts_.end(),
-                        std::uint64_t{0});
-    if (total == 0) return 1.0 / static_cast<double>(m_);
-    return static_cast<double>(adopter_counts_[0]) / static_cast<double>(total);
-  }
-  [[nodiscard]] std::uint64_t adopters() const {
-    return std::accumulate(adopter_counts_.begin(), adopter_counts_.end(),
-                           std::uint64_t{0});
-  }
-
- private:
-  const graph::graph& g_;
-  std::size_t m_;
-  double mu_, alpha_, beta_;
-  std::vector<std::int32_t> choices_, previous_;
-  std::vector<std::uint64_t> adopter_counts_;
-};
-
-/// Multi-step law equivalence on a given topology: engine trajectories and
-/// naive-reference trajectories (independent streams, shared reward
-/// streams) must agree in distribution.
-void check_law_against_reference(const graph::graph& g, double beta) {
-  const std::size_t m = 2;
+/// Multi-step law equivalence on a given topology with m options: engine
+/// trajectories and naive-reference trajectories (independent streams,
+/// shared reward streams) must agree in distribution.
+void check_law_against_reference(const graph::graph& g, std::size_t m, double beta) {
   const double mu = 0.08;
   const dynamics_params params = make_params(m, mu, beta);
   const double alpha = params.resolved_alpha();
-  const std::vector<double> etas{0.8, 0.3};
+  std::vector<double> etas{0.8, 0.3};
+  etas.resize(m, 0.5);
 
   constexpr int replications = 500;
   constexpr int horizon = 30;
@@ -233,11 +177,16 @@ void check_law_against_reference(const graph::graph& g, double beta) {
 }
 
 TEST(network_dynamics, law_matches_naive_reference_sparse_mode) {
-  check_law_against_reference(graph::graph::ring(48), 0.7);
+  check_law_against_reference(graph::graph::ring(48), 2, 0.7);
+}
+
+TEST(network_dynamics, law_matches_naive_reference_sparse_mode_three_options) {
+  // m = 3 takes the m-count view rows (the scalar sparse path), not net2.
+  check_law_against_reference(graph::graph::ring(48), 3, 0.7);
 }
 
 TEST(network_dynamics, law_matches_naive_reference_dense_mode) {
-  check_law_against_reference(graph::graph::two_cliques(26, 1), 0.7);
+  check_law_against_reference(graph::graph::two_cliques(26, 1), 2, 0.7);
 }
 
 TEST(network_dynamics, sharded_step_bit_identical_across_thread_counts) {

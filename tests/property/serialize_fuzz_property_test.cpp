@@ -28,7 +28,7 @@ using namespace sgl;
 /// markers, and sweep syntax.
 const std::vector<std::string>& vocabulary() {
   static const std::vector<std::string> pieces = {
-      "params.beta",  "params.num_options", "engine",       "kernel",
+      "params.beta",  "params.num_options", "engine",
       "num_agents",   "topology.family",    "groups.0.size", "groups.3.alpha",
       "agent_rules.0.beta", "faults.0.kind", "faults.0.targets", "probes",
       "environment.etas", "start", "protocol.drop_probability",

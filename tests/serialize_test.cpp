@@ -178,6 +178,16 @@ TEST(apply_override, rejects_bad_keys_and_values) {
   }
 }
 
+TEST(parse_scenario, retired_kernel_key_is_rejected) {
+  // The agent-based engine has one stream derivation, so the old `kernel`
+  // knob is gone; a stale spec that still sets it must fail loudly rather
+  // than run under a different derivation than it asked for.
+  EXPECT_THROW((void)parse_scenario("kernel = \"auto\"\n"), std::invalid_argument);
+  scenario_spec spec;
+  EXPECT_THROW(apply_override(spec, "kernel", "\"auto\""), std::invalid_argument);
+  EXPECT_THROW(apply_override(spec, "kernel=auto"), std::invalid_argument);
+}
+
 TEST(sweep_grammar, range_axis_expands_inclusively) {
   const sweep_axis axis = parse_sweep_axis("params.beta=0.55:0.75:0.05");
   EXPECT_EQ(axis.key, "params.beta");

@@ -8,7 +8,7 @@ Prints a per-benchmark table of baseline vs current times and the percent
 change (positive = slower than the baseline).  Exits non-zero when any
 benchmark shared by both files regressed by more than --threshold percent
 (default 25) — the contract of the CI perf-smoke job, which compares a
-fresh `harness_bench` run against the checked-in BENCH_PR4.json.
+fresh `harness_bench` run against the checked-in BENCH_PR6.json.
 
 Only benchmarks present in both files are compared; `aggregate_name`
 entries (mean/median/stddev rows emitted with --benchmark_repetitions) are
