@@ -9,8 +9,12 @@
 // standard topology zoo at equal N, constructing every case through the
 // scenario layer (the ring/small-world/two-cliques/torus cases are the
 // registered scenarios verbatim; the rest override the topology family).
-// Reported per topology: regret, final best-option mass, and the first step
-// at which the replication-averaged best-option mass reaches 90%.
+// Reported per topology: regret, final best-option mass, and the
+// `hitting_time` probe at eps = 0.2: the first step at which a
+// replication's best-option mass reaches 80%, averaged over the
+// replications that reach it (with their count when some never do).  The
+// level sits below the ~0.89 plateau of the dense topologies on purpose:
+// the mean curve crosses 90% on that plateau, so noise decided the step.
 
 #include <cstdio>
 #include <string>
@@ -25,6 +29,7 @@ namespace {
 using namespace sgl;
 
 constexpr std::uint64_t k_horizon = 400;
+constexpr double k_hit_eps = 0.2;  // hitting level 1 − eps = 80% mass
 
 struct topo_case {
   std::string label;
@@ -81,10 +86,11 @@ int run(const bench::standard_options& options) {
   config.replications = options.replications;
   config.seed = options.seed;
   config.threads = options.threads;
-  const std::vector<std::string> probes{"regret", "trajectory"};
+  const std::vector<std::string> probes{
+      "regret", "hitting_time(eps=" + fmt(k_hit_eps, 1) + ")"};
 
   text_table table{{"topology", "avg degree", "regret", "final best mass",
-                    "t to mean 90%"}};
+                    "t to 80% (hits)"}};
 
   for (auto& c : cases) {
     // Build each graph once, shared by the degree column and the run.
@@ -97,25 +103,28 @@ int run(const bench::standard_options& options) {
     const core::probe_list merged = scenario::run_probes(c.spec, config, probes);
     c.spec.prebuilt_graph.reset();
     const core::regret_estimate scalars = bench::regret_of(merged);
-    const auto& curves = dynamic_cast<const core::trajectory_probe&>(*merged[1]);
-    std::uint64_t hit = k_horizon + 1;
-    for (std::size_t t = 0; t < curves.best_mass().length(); ++t) {
-      if (curves.best_mass().mean(t) >= 0.9) {
-        hit = t + 1;
-        break;
+    const auto& hitting = dynamic_cast<const core::hitting_time_probe&>(*merged[1]);
+    const running_stats& times = hitting.hitting_time_stats();
+    std::string hit = "never";
+    if (times.count() > 0) {
+      const mean_ci t_hit = confidence_interval(times);
+      hit = fmt_pm(t_hit.mean, t_hit.half_width, 1);
+      if (times.count() < hitting.hit_fraction_stats().count()) {
+        hit += " (" + std::to_string(times.count()) + "/" +
+               std::to_string(hitting.hit_fraction_stats().count()) + ")";
       }
     }
     table.add_row({c.label, degree,
                    fmt_pm(scalars.regret.mean, scalars.regret.half_width),
-                   fmt(scalars.final_best_mass.mean, 3), std::to_string(hit)});
+                   fmt(scalars.final_best_mass.mean, 3), hit});
   }
   bench::emit(table, options);
-  std::printf("N = %zu, T = %llu, beta = 0.65, eta = (0.85, 0.35); 't to mean 90%%' of "
-              "%llu means never reached.\nShape: dense/expander graphs track the "
-              "fully mixed dynamics; low-conductance graphs (ring, bridged cliques) "
-              "learn, but more slowly.\n",
-              n, static_cast<unsigned long long>(k_horizon),
-              static_cast<unsigned long long>(k_horizon + 1));
+  std::printf("N = %zu, T = %llu, beta = 0.65, eta = (0.85, 0.35); 't to 80%%' is the "
+              "hitting_time probe at eps = %.1f, averaged over the replications that "
+              "hit (their count in brackets when not all do).\nShape: dense/expander "
+              "graphs track the fully mixed dynamics; low-conductance graphs (ring, "
+              "bridged cliques) learn, but more slowly.\n",
+              n, static_cast<unsigned long long>(k_horizon), k_hit_eps);
   return 0;
 }
 

@@ -334,7 +334,9 @@ void kernel_mixed_benchmark(benchmark::State& state, core::kernel::mixed_fn fn) 
     pop_cdf[j] = prob_to_u64(static_cast<double>(j + 1) / static_cast<double>(m));
   }
   std::vector<std::int32_t> choices(n, -1);
-  std::vector<std::uint32_t> considered(n);
+  // Shaped like the engine's call: tallies out, no per-agent `considered`.
+  std::vector<std::uint64_t> stage(m, 0);
+  std::vector<std::uint64_t> adopt(m, 0);
   rng gen{14};
   for (auto _ : state) {
     core::kernel::mixed_args a;
@@ -347,9 +349,12 @@ void kernel_mixed_benchmark(benchmark::State& state, core::kernel::mixed_fn fn) 
     a.alpha_thr = alpha_thr.data();
     a.beta_thr = beta_thr.data();
     a.choices = choices.data();
-    a.considered = considered.data();
+    a.stage = stage.data();
+    a.adopt = adopt.data();
     fn(a);
     benchmark::DoNotOptimize(choices.data());
+    benchmark::DoNotOptimize(stage.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

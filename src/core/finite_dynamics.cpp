@@ -30,7 +30,7 @@ constexpr std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) noexcept {
 constexpr std::uint64_t rule_threshold(std::uint64_t t_mu, std::uint64_t p,
                                        bool explore) noexcept {
   const std::uint64_t t_not_mu = t_mu == 0 ? k_max : 0 - t_mu;
-  return explore ? mulhi64(t_mu, p) : t_mu + mulhi64(t_not_mu, p);
+  return (explore ? 0 : t_mu) + mulhi64(explore ? t_mu : t_not_mu, p);
 }
 
 }  // namespace
@@ -206,9 +206,10 @@ void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng&
     cum += popularity_[j];
     pop_cdf_[j] = prob_to_u64(cum);
   }
-  considered_scratch_.resize(n);
   const std::uint64_t step_seed = gen.next_u64();
   const std::uint64_t t_mu = prob_to_u64(params_.mu);
+  std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
+  std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
 
   if (m <= 64) {
     std::uint64_t reward_bits = 0;
@@ -225,7 +226,8 @@ void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng&
     args.alpha_thr = alpha_thr_.data();
     args.beta_thr = beta_thr_.data();
     args.choices = choices_.data();
-    args.considered = considered_scratch_.data();
+    args.stage = stage_counts_.data();
+    args.adopt = adopter_counts_.data();
     kernel::mixed_step()(args);
   } else {
     // The mixed kernel's formulas, one agent at a time, for option counts
@@ -245,17 +247,11 @@ void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng&
       const std::uint64_t p = rewards[considered] != 0 ? beta_thr_[g] : alpha_thr_[g];
       const bool adopted = p == k_max || w0 < rule_threshold(t_mu, p, explore);
       choices_[g] = adopted ? static_cast<std::int32_t>(considered) : -1;
-      considered_scratch_[g] = static_cast<std::uint32_t>(considered);
+      ++stage_counts_[considered];
+      adopter_counts_[considered] += adopted;
     }
   }
 
-  std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
-  std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = considered_scratch_[i];
-    ++stage_counts_[j];
-    adopter_counts_[j] += choices_[i] >= 0;
-  }
   adopters_ = 0;
   for (const std::uint64_t d : adopter_counts_) adopters_ += d;
 }

@@ -160,6 +160,9 @@ class finite_dynamics : public dynamics_engine {
 
   /// Heterogeneous rules, fully mixed: the counter-addressed per-agent
   /// step — the mixed kernel for m <= 64, its scalar formulas beyond.
+  /// Either way the stage and adopter counts are tallied as the agents
+  /// are stepped (in vector registers inside the kernel), not in a second
+  /// pass over the population.
   void step_per_agent(std::span<const std::uint8_t> rewards, rng& gen);
 
   /// Sharded network-mode step: counter-addressed committed-neighbour
@@ -212,7 +215,6 @@ class finite_dynamics : public dynamics_engine {
   std::vector<std::uint64_t> alpha_thr_;
   std::vector<std::uint64_t> beta_thr_;
   std::vector<std::uint64_t> pop_cdf_;  // per-agent path: popularity CDF rungs
-  std::vector<std::uint32_t> considered_scratch_;  // per-agent path stage-1 out
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;

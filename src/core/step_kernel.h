@@ -14,6 +14,10 @@
 ///   * `mixed` — the fully mixed heterogeneous per-agent step (no
 ///     topology), with a CDF-ladder popularity draw for m ≤ 64 options.
 ///
+/// Both kernels tally stage-1 and adopt counts per option in lane
+/// registers as they go (DESIGN.md, "SoA layout"), so the caller needs no
+/// second pass over the agents.
+///
 /// Draws are *position-addressable*: one step seed S is drawn from the
 /// caller's stream (exactly one word), and agent g reads words
 /// w0 = counter_word(S, 2g) and w1 = counter_word(S, 2g+1).  Draws
@@ -83,7 +87,14 @@ struct mixed_args {
   const std::uint64_t* alpha_thr = nullptr;  ///< prob_to_u64(alpha_i) per agent
   const std::uint64_t* beta_thr = nullptr;   ///< prob_to_u64(beta_i) per agent
   std::int32_t* choices = nullptr;           ///< out
-  std::uint32_t* considered = nullptr;       ///< out: stage-1 option per agent
+  /// Optional out: the stage-1 option per agent.  The engine leaves it
+  /// null; it needs only the tallies below.
+  std::uint32_t* considered = nullptr;
+  /// In/out: stage[j] += agents that considered option j, adopt[j] +=
+  /// those that also adopted it (m entries each).  The kernel counts in
+  /// per-lane registers and adds once at the end; either may be null.
+  std::uint64_t* stage = nullptr;
+  std::uint64_t* adopt = nullptr;
 };
 
 using net2_fn = void (*)(const net2_args&);

@@ -96,6 +96,20 @@ constexpr std::uint64_t k_max = ~std::uint64_t{0};
   return t_mu == 0 ? k_max : std::uint64_t{0} - t_mu;
 }
 
+/// Stage-2 threshold of a per-agent rule p = prob_to_u64(α_i or β_i):
+/// t_mu·p / 2^64 on the explore branch, t_mu + (2^64 − t_mu)·p / 2^64 on
+/// the copy branch — selected before the multiply, so one product.
+[[nodiscard]] inline vu64 rule_threshold_lanes(vi64 explore, vu64 t_mu,
+                                               vu64 t_not_mu, vu64 p) noexcept {
+  return (explore ? vu64{} : t_mu) + mulhi64_lanes(explore ? t_mu : t_not_mu, p);
+}
+
+[[nodiscard]] inline std::uint64_t rule_threshold_scalar(
+    bool explore, std::uint64_t t_mu, std::uint64_t t_not_mu,
+    std::uint64_t p) noexcept {
+  return (explore ? 0 : t_mu) + mulhi64_scalar(explore ? t_mu : t_not_mu, p);
+}
+
 /// Packed changed-list entry, the layout finite_dynamics' delta pass reads:
 /// agent | (was+1) << 32 | (now+1) << 48.
 [[nodiscard]] inline std::uint64_t pack_changed(std::size_t i, std::int32_t was,
@@ -178,8 +192,7 @@ inline void net2_body(const net2_args& a) {
       const vu64 p0 = simd::load_u64(a.p_reward0 + i);
       const vu64 p1 = simd::load_u64(a.p_reward1 + i);
       const vu64 p = c_mask ? p1 : p0;
-      thr = explore ? mulhi64_lanes(t_mu_v, p)
-                    : t_mu_v + mulhi64_lanes(t_not_mu_v, p);
+      thr = rule_threshold_lanes(explore, t_mu_v, t_not_mu_v, p);
       always = (p == max_v);
     } else {
       const vu64 thr_e = c_mask ? te1 : te0;
@@ -212,8 +225,7 @@ inline void net2_body(const net2_args& a) {
     bool adopt_always;
     if (heterogeneous) {
       const std::uint64_t p = considered != 0 ? a.p_reward1[i] : a.p_reward0[i];
-      thr = explore ? mulhi64_scalar(t_mu, p)
-                    : t_mu + mulhi64_scalar(t_not_mu, p);
+      thr = rule_threshold_scalar(explore, t_mu, t_not_mu, p);
       adopt_always = p == k_max;
     } else {
       thr = explore ? a.thr_explore[considered] : a.thr_copy[considered];
@@ -267,58 +279,133 @@ inline void net2_body(const net2_args& a) {
 // mixed: fully mixed heterogeneous per-agent step, m <= 64
 // ---------------------------------------------------------------------------
 
+// In-register tallies.  Each lane keeps one u64 per group of 16 options
+// (nibble j of group k counts option 16k + j), so an agent's tally is one
+// shifted add into a lane of its own: no two agents of a batch touch the
+// same word, and no increment waits on the previous one's store.  A
+// nibble holds at most 15, so the accumulators drain into the wide
+// counters every k_flush_batches batches.
+constexpr std::size_t k_options_per_group = 16;
+constexpr std::size_t k_flush_batches = 15;
+constexpr std::uint64_t k_even_nibbles = 0x0F0F0F0F0F0F0F0FULL;
+
+/// Adds the 16 nibble counters of `acc`, summed over lanes, to out[0..16).
+/// Splitting even and odd nibbles into bytes first leaves room for the
+/// lane sum (at most 15 · 8 = 120 per byte), so the horizontal add is one
+/// pass of plain u64 adds.
+inline void flush_nibbles(vu64 acc, std::uint64_t* out) noexcept {
+  std::uint64_t even = 0;
+  std::uint64_t odd = 0;
+  for (std::size_t k = 0; k < lane_count; ++k) {
+    even += acc[k] & k_even_nibbles;
+    odd += (acc[k] >> 4) & k_even_nibbles;
+  }
+  for (std::size_t b = 0; b < 8; ++b) {
+    out[2 * b] += (even >> (8 * b)) & 0xFF;
+    out[2 * b + 1] += (odd >> (8 * b)) & 0xFF;
+  }
+}
+
+/// The vector part of the mixed step, agents [0, vec_end), for m options
+/// spread over Groups counter groups; tallies land in stage/adopt (+=,
+/// 16 · Groups entries each).
+template <std::size_t Groups>
+inline void mixed_batches(const mixed_args& a, std::size_t vec_end,
+                          std::uint64_t* stage, std::uint64_t* adopt) {
+  const std::uint64_t t_mu = a.t_mu;
+  const std::size_t m = a.m;
+  const vu64 t_mu_v = splat64(t_mu);
+  const vu64 t_not_mu_v = splat64(not_mu_scale(t_mu));
+  const vu64 max_v = splat64(k_max);
+  const vi64 explore_force = splat_mask64(t_mu == k_max);
+  const vu64 m_v = splat64(m);
+  const vu64 reward_bits_v = splat64(a.reward_bits);
+
+  vu64 acc_stage[Groups] = {};
+  vu64 acc_adopt[Groups] = {};
+  vu64 s0 = simd::lane_ramp(a.step_seed + k_gamma, 2 * k_gamma);
+  constexpr std::uint64_t batch_stride =
+      2 * static_cast<std::uint64_t>(lane_count) * k_gamma;
+
+  for (std::size_t g = 0; g < vec_end;) {
+    const std::size_t run_end =
+        vec_end - g > k_flush_batches * lane_count ? g + k_flush_batches * lane_count
+                                                   : vec_end;
+    for (; g < run_end; g += lane_count, s0 += batch_stride) {
+      const vu64 w0 = mix_lanes(s0);
+      const vu64 w1 = mix_lanes(s0 + k_gamma);
+
+      // --- Stage 1: uniform option on the explore branch, CDF-ladder
+      // popularity draw on the copy branch (both functions of w1, selected
+      // exclusively by the w0 explore test — one draw either way). ---
+      const vi64 explore = (w0 < t_mu_v) | explore_force;
+      const vu64 r_uniform = scale_bounded_lanes(w1, m_v);
+      vu64 r_ladder{};
+      for (std::size_t j = 0; j + 1 < m; ++j) {
+        // each satisfied rung contributes −(−1) = +1
+        r_ladder -= (vu64)(w1 >= splat64(a.pop_cdf[j]));
+      }
+      const vu64 considered = explore ? r_uniform : r_ladder;
+
+      // --- Stage 2: per-agent rule, signal looked up branch-free from the
+      // reward bitmask. ---
+      const vi64 sig = (((reward_bits_v >> considered) & 1) != 0);
+      const vu64 p_alpha = simd::load_u64(a.alpha_thr + g);
+      const vu64 p_beta = simd::load_u64(a.beta_thr + g);
+      const vu64 p = sig ? p_beta : p_alpha;
+      const vu64 thr = rule_threshold_lanes(explore, t_mu_v, t_not_mu_v, p);
+      const vi64 adopted = (w0 < thr) | (p == max_v);
+      const vu32 considered32 = simd::narrow_u64(considered);
+      const vi32 now32 =
+          simd::narrow_mask(adopted) ? (vi32)considered32 : (vi32{} - 1);
+      simd::store_i32(a.choices + g, now32);
+      if (a.considered != nullptr) simd::store_u32(a.considered + g, considered32);
+
+      // --- Tallies: a one in the considered option's nibble. ---
+      const vu64 one = splat64(1) << ((considered & (k_options_per_group - 1)) << 2);
+      const vu64 adopted_one = one & (vu64)adopted;
+      if constexpr (Groups == 1) {
+        acc_stage[0] += one;
+        acc_adopt[0] += adopted_one;
+      } else {
+        const vu64 group = considered >> 4;
+        for (std::size_t k = 0; k < Groups; ++k) {
+          const vu64 in_group = (vu64)(group == k);
+          acc_stage[k] += one & in_group;
+          acc_adopt[k] += adopted_one & in_group;
+        }
+      }
+    }
+    for (std::size_t k = 0; k < Groups; ++k) {
+      flush_nibbles(acc_stage[k], stage + k_options_per_group * k);
+      flush_nibbles(acc_adopt[k], adopt + k_options_per_group * k);
+      acc_stage[k] = vu64{};
+      acc_adopt[k] = vu64{};
+    }
+  }
+}
+
 inline void mixed_body(const mixed_args& a) {
   const std::uint64_t t_mu = a.t_mu;
   const std::uint64_t t_not_mu = not_mu_scale(t_mu);
   const bool mu_always = t_mu == k_max;
   const std::size_t m = a.m;
 
-  const vu64 t_mu_v = splat64(t_mu);
-  const vu64 t_not_mu_v = splat64(t_not_mu);
-  const vu64 max_v = splat64(k_max);
-  const vi64 explore_force = splat_mask64(mu_always);
-  const vu64 m_v = splat64(m);
-  const vu64 reward_bits_v = splat64(a.reward_bits);
+  // Wide counters for every option slot of the used groups; added to the
+  // caller's (optional) tallies at the end.
+  std::uint64_t stage[64] = {};
+  std::uint64_t adopt[64] = {};
 
-  std::size_t g = 0;
   const std::size_t vec_end = a.n & ~(lane_count - 1);
-  vu64 s0 = simd::lane_ramp(a.step_seed + k_gamma, 2 * k_gamma);
-  constexpr std::uint64_t batch_stride =
-      2 * static_cast<std::uint64_t>(lane_count) * k_gamma;
-
-  for (; g < vec_end; g += lane_count, s0 += batch_stride) {
-    const vu64 w0 = mix_lanes(s0);
-    const vu64 w1 = mix_lanes(s0 + k_gamma);
-
-    // --- Stage 1: uniform option on the explore branch, CDF-ladder
-    // popularity draw on the copy branch (both functions of w1, selected
-    // exclusively by the w0 explore test — one draw either way). ---
-    const vi64 explore = (w0 < t_mu_v) | explore_force;
-    const vu64 r_uniform = scale_bounded_lanes(w1, m_v);
-    vu64 r_ladder{};
-    for (std::size_t j = 0; j + 1 < m; ++j) {
-      // each satisfied rung contributes −(−1) = +1
-      r_ladder -= (vu64)(w1 >= splat64(a.pop_cdf[j]));
-    }
-    const vu64 considered = explore ? r_uniform : r_ladder;
-
-    // --- Stage 2: per-agent rule, signal looked up branch-free from the
-    // reward bitmask. ---
-    const vi64 sig = (((reward_bits_v >> considered) & 1) != 0);
-    const vu64 p_alpha = simd::load_u64(a.alpha_thr + g);
-    const vu64 p_beta = simd::load_u64(a.beta_thr + g);
-    const vu64 p = sig ? p_beta : p_alpha;
-    const vu64 thr = explore ? mulhi64_lanes(t_mu_v, p)
-                             : t_mu_v + mulhi64_lanes(t_not_mu_v, p);
-    const vi32 adopted32 = simd::narrow_mask((w0 < thr) | (p == max_v));
-    const vu32 considered32 = simd::narrow_u64(considered);
-    const vi32 now32 = adopted32 ? (vi32)considered32 : (vi32{} - 1);
-    simd::store_i32(a.choices + g, now32);
-    simd::store_u32(a.considered + g, considered32);
+  switch ((m + k_options_per_group - 1) / k_options_per_group) {
+    case 1: mixed_batches<1>(a, vec_end, stage, adopt); break;
+    case 2: mixed_batches<2>(a, vec_end, stage, adopt); break;
+    case 3: mixed_batches<3>(a, vec_end, stage, adopt); break;
+    default: mixed_batches<4>(a, vec_end, stage, adopt); break;
   }
 
-  // --- Scalar remainder: identical formulas. ---
-  for (; g < a.n; ++g) {
+  // --- Scalar remainder: identical formulas, tallied directly. ---
+  for (std::size_t g = vec_end; g < a.n; ++g) {
     const std::uint64_t w0 = counter_word(a.step_seed, 2 * g);
     const std::uint64_t w1 = counter_word(a.step_seed, 2 * g + 1);
     const bool explore = mu_always || w0 < t_mu;
@@ -332,12 +419,19 @@ inline void mixed_body(const mixed_args& a) {
     }
     const bool sig = (a.reward_bits >> considered) & 1;
     const std::uint64_t p = sig ? a.beta_thr[g] : a.alpha_thr[g];
-    const std::uint64_t thr = explore
-                                  ? mulhi64_scalar(t_mu, p)
-                                  : t_mu + mulhi64_scalar(t_not_mu, p);
-    const bool adopted = p == k_max || w0 < thr;
+    const bool adopted =
+        p == k_max || w0 < rule_threshold_scalar(explore, t_mu, t_not_mu, p);
     a.choices[g] = adopted ? static_cast<std::int32_t>(considered) : -1;
-    a.considered[g] = static_cast<std::uint32_t>(considered);
+    if (a.considered != nullptr) {
+      a.considered[g] = static_cast<std::uint32_t>(considered);
+    }
+    ++stage[considered];
+    adopt[considered] += adopted;
+  }
+
+  for (std::size_t j = 0; j < m; ++j) {
+    if (a.stage != nullptr) a.stage[j] += stage[j];
+    if (a.adopt != nullptr) a.adopt[j] += adopt[j];
   }
 }
 

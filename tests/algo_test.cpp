@@ -58,8 +58,8 @@ TEST(hedge, validates_input) {
 TEST(hedge_optimal_rate, formula_and_validation) {
   EXPECT_NEAR(hedge_optimal_rate(10, 1000), std::sqrt(8.0 * std::log(10.0) / 1000.0),
               1e-12);
-  EXPECT_THROW(hedge_optimal_rate(1, 1000), std::invalid_argument);
-  EXPECT_THROW(hedge_optimal_rate(10, 0), std::invalid_argument);
+  EXPECT_THROW((void)hedge_optimal_rate(1, 1000), std::invalid_argument);
+  EXPECT_THROW((void)hedge_optimal_rate(10, 0), std::invalid_argument);
 }
 
 // --- follow_the_leader --------------------------------------------------------------

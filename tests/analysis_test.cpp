@@ -115,10 +115,10 @@ TEST(block_bootstrap, deterministic_given_seed) {
 }
 
 TEST(block_bootstrap, validates_input) {
-  EXPECT_THROW(block_bootstrap_mean(std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_THROW((void)block_bootstrap_mean(std::vector<double>{1.0}), std::invalid_argument);
   const auto xs = iid_series(100, 11);
-  EXPECT_THROW(block_bootstrap_mean(xs, 1.5), std::invalid_argument);
-  EXPECT_THROW(block_bootstrap_mean(xs, 0.95, 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)block_bootstrap_mean(xs, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)block_bootstrap_mean(xs, 0.95, 0, 5), std::invalid_argument);
 }
 
 // --- hitting time / burn-in -----------------------------------------------------------
@@ -147,7 +147,7 @@ TEST(burn_in, already_stationary_is_zero) {
 
 TEST(burn_in, validates_band) {
   const std::vector<double> xs(10, 0.0);
-  EXPECT_THROW(burn_in(xs, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)burn_in(xs, 0.0), std::invalid_argument);
 }
 
 // --- regret decomposition ---------------------------------------------------------------

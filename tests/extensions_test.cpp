@@ -143,7 +143,7 @@ TEST(exp3, optimal_gamma_formula) {
   EXPECT_LE(g, 1.0);
   // Short horizons clamp to 1.
   EXPECT_DOUBLE_EQ(algo::exp3_optimal_gamma(10, 1), 1.0);
-  EXPECT_THROW(algo::exp3_optimal_gamma(1, 100), std::invalid_argument);
+  EXPECT_THROW((void)algo::exp3_optimal_gamma(1, 100), std::invalid_argument);
 }
 
 // --- mean_field_map -------------------------------------------------------------

@@ -221,6 +221,14 @@ std::map<std::string, scenario::scenario_spec> counter_path_specs() {
   specs["dense_k60_rules"].topology.family = scenario::topology_spec::family_kind::complete;
   specs["mixed_rules_m3"] = with_rules(base(3, 250));
   specs["mixed_rules_m70"] = with_rules(base(70, 250));
+  // The mixed kernel's in-register tallies: N = 1003 leaves a lane tail
+  // and spans several 15-batch counter flushes; m = 40 spreads the
+  // options over three 16-option counter groups.
+  specs["mixed_rules_m10_n1003"] = with_rules(base(10, 1003));
+  specs["mixed_rules_m40_n1003"] = with_rules(base(40, 1003));
+  // net2's heterogeneous (per-agent rule) branch.
+  specs["sparse_ring_m2_rules"] = with_rules(base(2, 300));
+  specs["sparse_ring_m2_rules"].topology.family = scenario::topology_spec::family_kind::ring;
   return specs;
 }
 
@@ -233,6 +241,9 @@ TEST(harness_golden, counter_paths_without_a_registry_scenario) {
       {"dense_k60_rules", 0x824a3058c1ce9e09ULL},
       {"mixed_rules_m3", 0x0569aeb6c85d3ac3ULL},
       {"mixed_rules_m70", 0x3f6ebe05fd81a4b4ULL},
+      {"mixed_rules_m10_n1003", 0x18d00cc8a5e38939ULL},
+      {"mixed_rules_m40_n1003", 0xa5c0adea82ad4760ULL},
+      {"sparse_ring_m2_rules", 0x6b80cae900dd93c3ULL},
   };
   const auto specs = counter_path_specs();
   ASSERT_EQ(specs.size(), golden.size());

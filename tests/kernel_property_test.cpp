@@ -320,5 +320,80 @@ TEST(kernel_property, mixed_generic_and_active_isa_bit_identical) {
   }
 }
 
+/// The mixed kernel's in-register tallies against a recount from its
+/// own per-agent output.  N straddles the lane width (4 or 8) and the
+/// 15-batch counter flush at both widths (60/120 agents); m covers one,
+/// exactly one, just over one and four 16-option counter groups.
+TEST(kernel_property, mixed_tallies_match_a_recount) {
+  const std::size_t populations[] = {1, 7, 59, 60, 61, 119, 120, 121, 10000};
+  const std::size_t option_counts[] = {1, 2, 3, 10, 16, 17, 64};
+  for (const kernel::mixed_fn fn : {kernel::mixed_step_generic, kernel::mixed_step()}) {
+    for (const std::size_t n : populations) {
+      for (const std::size_t m : option_counts) {
+        const std::string label = "N=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                  (fn == kernel::mixed_step_generic ? " generic" : " active");
+        std::vector<std::uint64_t> alpha_thr(n);
+        std::vector<std::uint64_t> beta_thr(n);
+        const auto rules = varied_rules(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          alpha_thr[i] = prob_to_u64(rules[i].alpha);
+          beta_thr[i] = prob_to_u64(rules[i].beta);
+        }
+        // A skewed ladder: option 0 takes about half the copy branch, so
+        // most lanes hit the same nibble and counters near the flush
+        // bound are exercised.
+        std::vector<std::uint64_t> pop_cdf(m - 1);
+        for (std::size_t j = 0; j + 1 < m; ++j) {
+          pop_cdf[j] = prob_to_u64(0.5 + 0.5 * static_cast<double>(j + 1) /
+                                             static_cast<double>(m));
+        }
+        kernel::mixed_args a;
+        a.step_seed = 0x7a11ULL + n * 977 + m;
+        a.n = n;
+        a.m = m;
+        a.t_mu = prob_to_u64(0.2);
+        a.pop_cdf = pop_cdf.data();
+        a.reward_bits = 0x5555555555555555ULL;
+        a.alpha_thr = alpha_thr.data();
+        a.beta_thr = beta_thr.data();
+
+        // Shaped like a timing harness: `considered` out, no tallies.
+        std::vector<std::int32_t> choices(n, -7);
+        std::vector<std::uint32_t> considered(n, 0xffffffffu);
+        a.choices = choices.data();
+        a.considered = considered.data();
+        fn(a);
+        std::vector<std::uint64_t> stage(m, 0);
+        std::vector<std::uint64_t> adopt(m, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_LT(considered[i], m) << label << " agent " << i;
+          ASSERT_TRUE(choices[i] == -1 ||
+                      choices[i] == static_cast<std::int32_t>(considered[i]))
+              << label << " agent " << i;
+          ++stage[considered[i]];
+          adopt[considered[i]] += choices[i] >= 0;
+        }
+
+        // Shaped like the engine: tallies (+= onto an offset), no
+        // `considered`; the choices must not change.
+        constexpr std::uint64_t offset = 1000;
+        std::vector<std::int32_t> engine_choices(n, -7);
+        std::vector<std::uint64_t> engine_stage(m, offset);
+        std::vector<std::uint64_t> engine_adopt(m, offset);
+        a.choices = engine_choices.data();
+        a.considered = nullptr;
+        a.stage = engine_stage.data();
+        a.adopt = engine_adopt.data();
+        fn(a);
+        EXPECT_EQ(engine_choices, choices) << label;
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(engine_stage[j] - offset, stage[j]) << label << " option " << j;
+          EXPECT_EQ(engine_adopt[j] - offset, adopt[j]) << label << " option " << j;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sgl::core

@@ -75,9 +75,9 @@ TEST(dynamics_params, theorem_conditions) {
 }
 
 TEST(theorem_params, rejects_out_of_range_beta) {
-  EXPECT_THROW(theorem_params(5, 0.5), std::invalid_argument);   // delta = 0
-  EXPECT_THROW(theorem_params(5, 0.9), std::invalid_argument);   // above cap
-  EXPECT_NO_THROW(theorem_params(5, 0.7));
+  EXPECT_THROW((void)theorem_params(5, 0.5), std::invalid_argument);   // delta = 0
+  EXPECT_THROW((void)theorem_params(5, 0.9), std::invalid_argument);   // above cap
+  EXPECT_NO_THROW((void)theorem_params(5, 0.7));
 }
 
 // --- theory constants ------------------------------------------------------------
@@ -86,8 +86,8 @@ TEST(theory, delta_and_caps) {
   EXPECT_NEAR(theory::delta(0.6), std::log(1.5), 1e-12);
   EXPECT_NEAR(theory::beta_cap(), std::numbers::e / (std::numbers::e + 1.0), 1e-12);
   EXPECT_NEAR(theory::mu_cap(0.6), std::log(1.5) * std::log(1.5) / 6.0, 1e-12);
-  EXPECT_THROW(theory::delta(0.0), std::invalid_argument);
-  EXPECT_THROW(theory::delta(1.0), std::invalid_argument);
+  EXPECT_THROW((void)theory::delta(0.0), std::invalid_argument);
+  EXPECT_THROW((void)theory::delta(1.0), std::invalid_argument);
 }
 
 TEST(theory, horizons) {
@@ -113,7 +113,7 @@ TEST(theory, best_mass_lower_bound) {
   EXPECT_LT(b, 1.0);
   // Tiny gap: bound clamps to zero rather than going negative.
   EXPECT_DOUBLE_EQ(theory::best_mass_lower_bound(0.7, 0.01), 0.0);
-  EXPECT_THROW(theory::best_mass_lower_bound(0.6, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)theory::best_mass_lower_bound(0.6, 0.0), std::invalid_argument);
 }
 
 TEST(theory, concentration_radii_formulas) {
@@ -123,8 +123,8 @@ TEST(theory, concentration_radii_formulas) {
   const double ddp = theory::delta_double_prime(10, 0.05, 0.6, n);
   EXPECT_NEAR(ddp, std::sqrt(60.0 * 10.0 * std::log(n) / (0.4 * 0.05 * n)), 1e-12);
   EXPECT_GT(ddp, dp);  // stage 2 is noisier
-  EXPECT_THROW(theory::delta_prime(10, 0.0, n), std::invalid_argument);
-  EXPECT_THROW(theory::delta_prime(10, 0.05, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)theory::delta_prime(10, 0.0, n), std::invalid_argument);
+  EXPECT_THROW((void)theory::delta_prime(10, 0.05, 1.0), std::invalid_argument);
 }
 
 TEST(theory, radii_shrink_with_population) {
@@ -155,8 +155,8 @@ TEST(theory, popularity_floor_and_epoch) {
   EXPECT_NEAR(theory::epoch_length(10, 0.05, 0.6), std::log(1.0 / zeta) / (d * d), 1e-12);
   EXPECT_NEAR(theory::nonuniform_min_horizon(0.01, 0.6), std::log(100.0) / (d * d),
               1e-12);
-  EXPECT_THROW(theory::nonuniform_min_horizon(0.0, 0.6), std::invalid_argument);
-  EXPECT_THROW(theory::nonuniform_min_horizon(1.5, 0.6), std::invalid_argument);
+  EXPECT_THROW((void)theory::nonuniform_min_horizon(0.0, 0.6), std::invalid_argument);
+  EXPECT_THROW((void)theory::nonuniform_min_horizon(1.5, 0.6), std::invalid_argument);
 }
 
 TEST(theory, horizon_window) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/flags.h"
@@ -223,7 +225,7 @@ TEST(flag_set, duplicate_registration_throws) {
 
 TEST(flag_set, unregistered_get_throws) {
   flag_set flags{"prog", "test"};
-  EXPECT_THROW(flags.get_int64("ghost"), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int64("ghost"), std::invalid_argument);
 }
 
 // --- json -----------------------------------------------------------------------
@@ -376,7 +378,7 @@ TEST(parallel_reduce, shards_cover_count_exactly_once) {
 
 TEST(parallel_reduce, propagates_exceptions) {
   EXPECT_THROW(
-      (parallel_reduce<int>(
+      (void)(parallel_reduce<int>(
           100, [] { return 0; },
           [](int&, std::size_t i) {
             if (i == 50) throw std::logic_error{"bad"};
@@ -403,6 +405,11 @@ TEST(parallel_tasks, propagates_first_exception_and_stops_claiming) {
                    [&](std::size_t i) {
                      ran.fetch_add(1);
                      if (i == 3) throw std::runtime_error{"boom"};
+                     // Each task takes real time: an empty body lets the
+                     // other participant claim all 1000 while the first
+                     // throw of the process is still unwinding, which made
+                     // the bound below fail on timing alone.
+                     std::this_thread::sleep_for(std::chrono::microseconds{50});
                    },
                    2),
                std::runtime_error);
