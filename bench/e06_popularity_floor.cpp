@@ -6,9 +6,13 @@
 // distribution.  We run long horizons (20 epochs) through the generic
 // probe runner with the popularity_floor probe (the "Lemma audit" metric)
 // and report the worst min-popularity seen and the per-step violation
-// frequency.
+// frequency.  The zeta*N column is the floor counted in agents: where it is
+// below one, the floor cannot be met short of every option keeping an
+// adopter at all times, and the row lies outside the large-N regime the
+// lemma is stated for.
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -29,8 +33,8 @@ int run(const bench::standard_options& options) {
       "Claim: w.h.p. no option's popularity ever falls below zeta; epochs can "
       "restart from a zeta-floored state.");
 
-  text_table table{{"m", "beta", "N", "zeta", "epoch len", "T", "worst min Q",
-                    "viol. rate", "holds"}};
+  text_table table{{"m", "beta", "N", "zeta", "zeta*N", "epoch len", "T",
+                    "worst min Q", "viol. rate", "holds"}};
 
   for (const std::size_t m : {std::size_t{2}, std::size_t{10}}) {
     for (const std::uint64_t n : {1000ULL, 10000ULL, 100000ULL}) {
@@ -58,13 +62,16 @@ int run(const bench::standard_options& options) {
           dynamic_cast<const core::popularity_floor_probe&>(*merged[0]);
 
       table.add_row({std::to_string(m), fmt(beta, 2), std::to_string(n),
-                     fmt_sci(zeta, 2), fmt(epoch, 1), std::to_string(horizon),
+                     fmt_sci(zeta, 2), fmt(zeta * static_cast<double>(n), 2),
+                     fmt(epoch, 1), std::to_string(horizon),
                      fmt_sci(floor.min_popularity_stats().min(), 2),
                      fmt(floor.violation_rate_stats().mean(), 4),
                      bench::verdict(floor.violation_rate_stats().mean() < 0.05)});
     }
   }
   bench::emit(table, options);
+  std::printf("zeta*N is the floor in agents; a row with zeta*N < 1 lies outside the "
+              "large-N regime of Section 4.3.2, so its verdict does not test the lemma.\n");
   return 0;
 }
 

@@ -121,9 +121,11 @@ int run(const bench::standard_options& options) {
   bench::emit(table, options);
   std::printf("N = %zu, T = %llu, beta = 0.65, eta = (0.85, 0.35); 't to 80%%' is the "
               "hitting_time probe at eps = %.1f, averaged over the replications that "
-              "hit (their count in brackets when not all do).\nShape: dense/expander "
-              "graphs track the fully mixed dynamics; low-conductance graphs (ring, "
-              "bridged cliques) learn, but more slowly.\n",
+              "hit (their count in brackets when not all do).\nShape: dense and "
+              "expander graphs, and two dense cliques joined by one bridge, track the "
+              "fully mixed dynamics; the sparse low-degree graphs (torus, ring, star) "
+              "pay more regret and end with less best-option mass, and the ring also "
+              "learns more slowly.\n",
               n, static_cast<unsigned long long>(k_horizon), k_hit_eps);
   return 0;
 }

@@ -54,15 +54,6 @@ struct run_config {
   std::uint64_t replications = 100;
   std::uint64_t seed = 1;
   unsigned threads = 0;             ///< 0 = hardware concurrency
-
-  /// Reuse one engine/environment instance per worker across replications
-  /// (reset() between) instead of reconstructing, whenever both sides
-  /// report reusable().  Trajectories are bit-identical either way — the
-  /// switch exists for A/B verification and for exotic factories; leave it
-  /// on.  At large N reconstruction is the dominant per-replication cost
-  /// (buffer allocation + the committed-neighbour-view rebuild), so
-  /// turning this off is a measurable slowdown (bench/harness_bench.cpp).
-  bool reuse = true;
 };
 
 /// End-of-horizon scalar estimates with 95% confidence intervals.
@@ -87,11 +78,13 @@ void check_run_config(const run_config& config);
 /// replication through the horizon on the streams derived from
 /// (config.seed, replication) while `probes` observe each step; between
 /// replications the context reset()s the engine and environment when both
-/// report reusable() (and config.reuse allows it), and reconstructs them
-/// otherwise — the trajectory is bit-identical either way.  The factories
-/// must outlive the context.  Exposed so schedulers outside this file (the
-/// sweep scheduler in scenario/sweep.h) drive replications through the
-/// exact same code path.
+/// report reusable(), and reconstructs them otherwise — the trajectory is
+/// bit-identical either way.  At large N reconstruction is the dominant
+/// per-replication cost (buffer allocation + the committed-neighbour-view
+/// rebuild), which reset() spares.  The factories must outlive the
+/// context.  Exposed so schedulers outside this file (the sweep scheduler
+/// in scenario/sweep.h) drive replications through the exact same code
+/// path.
 class replication_context {
  public:
   replication_context(const engine_factory& make_engine, const env_factory& make_env,

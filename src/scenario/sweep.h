@@ -19,9 +19,8 @@
 /// shard decomposition, per-replication RNG streams
 /// (rng::from_stream(seed, 2r[+1])) and fixed-order shard merge that
 /// run_with_probes uses, so every point's merged probes are bit-identical
-/// to running that point alone — for any thread count, any interleaving,
-/// and with engine reuse on or off (tested in
-/// tests/harness_determinism_test.cpp).
+/// to running that point alone — for any thread count and any
+/// interleaving (tested in tests/harness_determinism_test.cpp).
 
 #include <atomic>
 #include <cstdint>

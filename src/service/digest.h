@@ -9,10 +9,10 @@
 ///
 ///   * the canonical serializer (scenario/serialize.h) is field-exact:
 ///     specs that print the same text run bit-identically;
-///   * the harness is bit-identical across thread counts, engine reuse,
-///     and sweep interleaving (tests/harness_determinism_test.cpp), so the
-///     *only* inputs that can change a merged probe result are the ones
-///     hashed here.
+///   * the harness is bit-identical across thread counts, engine reset()
+///     versus rebuild, and sweep interleaving
+///     (tests/harness_determinism_test.cpp), so the *only* inputs that can
+///     change a merged probe result are the ones hashed here.
 ///
 /// spec_digest therefore keys a result by exactly the semantically
 /// meaningful inputs and nothing else:
@@ -24,7 +24,7 @@
 ///     draws are a pure function of the spec and seed on every ISA, so two
 ///     hosts agree on every digest;
 ///   * the run shape: horizon, replications, master seed (config.threads
-///     and config.reuse are excluded — bit-identity makes them free);
+///     is excluded — bit-identity makes it free);
 ///   * the resolved probe list, in order (probes never consume RNG, but
 ///     they ARE the result payload);
 ///   * the stream-derivation version tag k_stream_derivation_id — bump it

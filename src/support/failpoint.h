@@ -13,8 +13,9 @@
 ///
 /// Cost when off: `check()` is one relaxed atomic load and a predicted
 /// branch (no string hashing, no locks) whenever no site at all is
-/// configured — the framework stays compiled into release binaries and the
-/// perf gate (BENCH_PR6.json) is unaffected.  Configured sites pay a
+/// configured — the framework stays compiled into release binaries, where
+/// the same-host perf gate (perfbench/steadiness.py --against) measures it
+/// along with everything else.  Configured sites pay a
 /// shared-lock map lookup per hit, which only fault-injection runs see.
 ///
 /// Triggers (the `SGL_FAILPOINTS` DSL, also `set()`):

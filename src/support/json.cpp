@@ -1,8 +1,8 @@
 #include "support/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
 
@@ -34,13 +34,19 @@ std::string json_escape(std::string_view value) {
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
   char buffer[40];
-  // Shortest round-trip: try increasing precision until parsing the text
-  // back yields the exact double (17 significant digits always suffice).
+  // Shortest round-trip among %.15g, %.16g and %.17g: try increasing
+  // precision until parsing the text back yields the exact double (17
+  // significant digits always suffice).  to_chars/from_chars are the
+  // locale-free equivalents of snprintf("%.*g")/strtod, byte for byte.
+  std::to_chars_result written{};
   for (const int precision : {15, 16, 17}) {
-    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
+    written = std::to_chars(buffer, buffer + sizeof buffer, value,
+                            std::chars_format::general, precision);
+    double parsed = 0.0;
+    std::from_chars(buffer, written.ptr, parsed);
+    if (parsed == value) break;
   }
-  return buffer;
+  return {buffer, written.ptr};
 }
 
 json_writer::json_writer(std::ostream& os, int indent) : os_{os}, indent_{indent} {}

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -244,7 +245,14 @@ TEST(json, number_is_shortest_exact_round_trip) {
   // A value needing all 17 digits survives the round trip.
   const double awkward = 0.1 + 0.2;
   EXPECT_EQ(std::stod(json_number(awkward)), awkward);
+  EXPECT_EQ(json_number(awkward), "0.30000000000000004");
   EXPECT_EQ(json_number(std::nan("")), "null");
+  // The edges of the format, pinned to what %.{15,16,17}g prints.
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::denorm_min()), "4.94065645841247e-324");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::max()), "1.7976931348623157e+308");
+  EXPECT_EQ(json_number(1e15), "1e+15");
+  EXPECT_EQ(json_number(1e16), "1e+16");
 }
 
 TEST(json, writer_produces_valid_nested_documents) {

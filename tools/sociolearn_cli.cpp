@@ -425,10 +425,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
                   "for any value");
   flags.add_int64("agents", -1, "override the scenario's population (-1 = keep)");
   flags.add_bool("curves", false, "emit per-step curves as CSV instead of the table");
-  flags.add_bool("no-reuse", false,
-                 "rebuild the engine/environment every replication instead of "
-                 "reset()-reusing one per worker (A/B check; bit-identical "
-                 "results, slower)");
   flags.add_string("trace-out", "",
                    "record replication 0's structured netsim trace to this "
                    "JSONL file ('-' = stdout; protocol engine only)");
@@ -525,7 +521,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
   config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-  config.reuse = !flags.get_bool("no-reuse");
 
   // Probe selection: --probes > the spec's probes > regret; --curves
   // additionally wants the trajectory probe.
